@@ -28,7 +28,7 @@ examples:
 	for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done
 
 smoke:
-	pytest tests/ -q -x -k "not matrix and not Matrix" --timeout=300
+	PYTHONPATH=src python -m pytest tests/ -q -x -k "not matrix and not Matrix"
 
 # Worker processes for the per-file lint pass (0 = one per CPU).
 LINT_JOBS ?= 4

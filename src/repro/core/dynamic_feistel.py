@@ -119,24 +119,18 @@ class DynamicFeistelMapper:
     def translate_many(self, las: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`translate` (bounds are the caller's problem).
 
-        The parked and displaced lines are never marked remapped while
-        their registers are live, so the two patches below never collide
-        with the ``is_remapped`` branch.
+        One Feistel pass: each line is encrypted under the key schedule
+        its ``isRemap`` bit selects (``Kc`` or ``Kp``).  The parked and
+        displaced lines are never marked remapped while their registers
+        are live, so the two patches below never collide with that choice.
         """
         las = np.asarray(las, dtype=np.int64)
-        u64 = las.astype(np.uint64)
-        remapped = self.is_remapped[las]
-        out = np.empty(las.size, dtype=np.int64)
-        if remapped.all():  # common case (boot state, round just ended)
-            out[:] = np.asarray(self.feistel_c.encrypt(u64)).astype(np.int64)
-        else:
-            out[remapped] = np.asarray(
-                self.feistel_c.encrypt(u64[remapped])
-            ).astype(np.int64)
-            old = ~remapped
-            out[old] = np.asarray(self.feistel_p.encrypt(u64[old])).astype(
-                np.int64
-            )
+        keys = np.where(
+            self.is_remapped[las],
+            self.feistel_c.key_column,
+            self.feistel_p.key_column,
+        )
+        out = self.feistel_c.encrypt_keyed(las, keys).astype(np.int64)
         if self.parked_la is not None:
             out[las == self.parked_la] = self.spare_slot
         if self.displaced_la is not None:
@@ -150,20 +144,25 @@ class DynamicFeistelMapper:
     def advance_rounds(self, rounds: int) -> None:
         """Jump ``rounds`` whole remapping rounds in one step.
 
-        Rotates the key pair ``rounds`` times (each rotation draws fresh
-        key material from this mapper's RNG, exactly as ``_begin_round``
-        would) and lands on the round-boundary state: every line remapped
-        under the final ``feistel_c``, gap parked at the spare, no line
-        parked or displaced.  The analytic fast-forward tier uses this to
-        skip the per-trigger cycle walk; ``total_movements`` is the
-        caller's responsibility (it knows how many triggers it modelled).
+        Rotates the key pair ``rounds`` times (one draw of ``rounds`` key
+        schedules, stream-identical to ``rounds`` calls of ``_begin_round``;
+        only the last two become networks) and lands on the round-boundary
+        state: every line remapped under the final ``feistel_c``, gap
+        parked at the spare, no line parked or displaced.  The analytic
+        fast-forward tier uses this to skip the per-trigger cycle walk;
+        ``total_movements`` is the caller's responsibility (it knows how
+        many triggers it modelled).
         """
         if rounds < 0:
             raise ValueError("rounds must be >= 0")
-        for _ in range(rounds):
-            self.feistel_p = self.feistel_c
-            self.feistel_c = self.feistel_c.rekeyed(self._rng)
         if rounds:
+            keys = FeistelNetwork.draw_keys(
+                self.n_bits, self.n_stages, rounds, self._rng
+            )
+            if rounds > 1:
+                self.feistel_c = FeistelNetwork(self.n_bits, keys[-2])
+            self.feistel_p = self.feistel_c
+            self.feistel_c = FeistelNetwork(self.n_bits, keys[-1])
             self.is_remapped[:] = True
             self._n_remapped = self.n_lines
             self.gap = self.n_lines

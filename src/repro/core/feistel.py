@@ -17,12 +17,14 @@ the parity of the address width.
 
 Both scalar ``int`` and vectorized :class:`numpy.ndarray` code paths are
 provided; the vector path is what the round-granularity simulation engines
-use to randomize whole windows of addresses per remapping round.
+use to randomize whole windows of addresses per remapping round.  Its stage
+keys broadcast against the addresses, so one pass can also give every
+address its own schedule (:meth:`FeistelNetwork.encrypt_keyed`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from repro.util.bitops import mask
 from repro.util.rng import SeedLike, as_generator
 
 IntOrArray = Union[int, np.ndarray]
+#: One keyed vector pass over ``(addresses, stage keys)``.
+_Pass = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 _U64 = np.uint64
 
@@ -38,16 +42,6 @@ def _cube_mod(x: int, modmask: int) -> int:
     """``x**3 mod 2**h`` for scalar ``x`` (``modmask == 2**h - 1``)."""
     return (x * x * x) & modmask
 
-
-def _cube_mod_vec(x: np.ndarray, modmask: int) -> np.ndarray:
-    """Vectorized ``x**3 mod 2**h``; safe for half-widths up to 32 bits.
-
-    Intermediate products are reduced after each multiply so values stay
-    below 2**64 (h <= 32 ⇒ x < 2**32 ⇒ x*x < 2**64).
-    """
-    m = _U64(modmask)
-    sq = (x * x) & m
-    return (sq * x) & m
 
 
 class FeistelNetwork:
@@ -75,24 +69,38 @@ class FeistelNetwork:
         self.n_bits = n_bits
         self.domain = 1 << n_bits
         # Cycle-walking width: smallest even width >= n_bits.
-        self._walk_bits = n_bits if n_bits % 2 == 0 else n_bits + 1
-        self._half_bits = self._walk_bits // 2
+        self._half_bits = (n_bits + 1) // 2
+        self._walk_bits = 2 * self._half_bits
         self._half_mask = mask(self._half_bits)
         self.keys = tuple(int(k) & self._half_mask for k in keys)
-        self._keys_u64 = np.array(self.keys, dtype=_U64)
+        #: The key schedule as an ``(S, 1)`` uint64 column: the key operand
+        #: of :meth:`encrypt_keyed` that applies it to every address.
+        self.key_column = np.array(self.keys, dtype=_U64).reshape(-1, 1)
 
     # ------------------------------------------------------------- factory
+
+    @staticmethod
+    def draw_keys(
+        n_bits: int, n_stages: int, count: int, rng: SeedLike = None
+    ) -> np.ndarray:
+        """Draw ``count`` key schedules as one ``(count, n_stages)`` array.
+
+        Row ``i`` holds the keys the ``i``-th of ``count`` successive
+        :meth:`random` calls on the same generator would draw, and the
+        generator ends in the same state: ``Generator.integers`` takes
+        every bounded key (keys are at most 32 bits wide) from the bit
+        generator's 32-bit stream in order, whatever the requested shape.
+        """
+        gen = as_generator(rng)
+        high = 1 << ((n_bits + 1) // 2)
+        return gen.integers(0, high, size=(count, n_stages))
 
     @classmethod
     def random(
         cls, n_bits: int, n_stages: int, rng: SeedLike = None
     ) -> "FeistelNetwork":
         """Draw a network with ``n_stages`` uniformly random stage keys."""
-        gen = as_generator(rng)
-        walk_bits = n_bits if n_bits % 2 == 0 else n_bits + 1
-        high = 1 << (walk_bits // 2)
-        keys = gen.integers(0, high, size=n_stages)
-        return cls(n_bits, [int(k) for k in keys])
+        return cls(n_bits, cls.draw_keys(n_bits, n_stages, 1, rng)[0])
 
     def rekeyed(self, rng: SeedLike = None) -> "FeistelNetwork":
         """Return a new network of identical shape with fresh random keys."""
@@ -137,46 +145,67 @@ class FeistelNetwork:
 
     # -------------------------------------------------------- vector paths
 
-    def _encrypt_vec(self, x: np.ndarray) -> np.ndarray:
-        v = x.astype(_U64, copy=True)
+    def _mix(
+        self, keep: np.ndarray, feed: np.ndarray, key: np.ndarray
+    ) -> np.ndarray:
+        """``keep XOR (feed XOR key)^3 mod 2**h``: one stage, elementwise."""
+        # uint64 products wrap mod 2**64, which 2**h divides, so one mask
+        # after the full cube is exact.
+        x = feed ^ key
+        out = x * x
+        out *= x
+        out &= _U64(self._half_mask)
+        out ^= keep
+        return out
+
+    def _encrypt_pass(self, v: np.ndarray, keys: np.ndarray) -> np.ndarray:
         half = _U64(self._half_bits)
-        hmask = _U64(self._half_mask)
         left = v >> half
-        right = v & hmask
-        for key in self._keys_u64:
-            new_left = right ^ _cube_mod_vec(left ^ key, self._half_mask)
-            right = left
-            left = new_left
+        right = v & _U64(self._half_mask)
+        for key in keys:
+            left, right = self._mix(right, left, key), left
         return (left << half) | right
 
-    def _decrypt_vec(self, y: np.ndarray) -> np.ndarray:
-        v = y.astype(_U64, copy=True)
+    def _decrypt_pass(self, v: np.ndarray, keys: np.ndarray) -> np.ndarray:
         half = _U64(self._half_bits)
-        hmask = _U64(self._half_mask)
         left = v >> half
-        right = v & hmask
-        for key in self._keys_u64[::-1]:
-            new_right = left ^ _cube_mod_vec(right ^ key, self._half_mask)
-            left = right
-            right = new_right
+        right = v & _U64(self._half_mask)
+        for key in keys[::-1]:
+            left, right = right, self._mix(left, right, key)
         return (left << half) | right
 
-    def _walk_vec(self, values: np.ndarray, step) -> np.ndarray:
-        out = step(values)
-        outside = out >= _U64(self.domain)
+    def _walk(
+        self, values: np.ndarray, keys: np.ndarray, one_pass: _Pass
+    ) -> np.ndarray:
+        out = one_pass(np.asarray(values, dtype=_U64), keys)
+        if self._walk_bits == self.n_bits:
+            return out  # even width: every output is already in the domain
+        domain = _U64(self.domain)
+        outside = out >= domain
         while outside.any():
-            out[outside] = step(out[outside])
-            outside = out >= _U64(self.domain)
+            own = keys if keys.shape[1] == 1 else keys[:, outside]
+            out[outside] = one_pass(out[outside], own)
+            outside = out >= domain
         return out
 
     # ----------------------------------------------------------- public API
+
+    def encrypt_keyed(self, x: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Encrypt ``x[i]`` under the key schedule ``keys[:, i]``.
+
+        ``keys`` is a uint64 array of shape ``(S, len(x))``, or ``(S, 1)``
+        to apply one schedule (e.g. :attr:`key_column`) to every address;
+        this network contributes only its width.  Addresses are not
+        range-checked: the caller guarantees ``0 <= x < 2**n_bits``.
+        """
+        return self._walk(x, keys, self._encrypt_pass)
 
     def encrypt(self, x: IntOrArray) -> IntOrArray:
         """Permute address(es) forward: LA → IA in the paper's terms."""
         if isinstance(x, np.ndarray):
             if x.size and (x.min() < 0 or int(x.max()) >= self.domain):
                 raise ValueError("addresses outside domain")
-            return self._walk_vec(x, self._encrypt_vec)
+            return self._walk(x, self.key_column, self._encrypt_pass)
         return self._encrypt_scalar(int(x))
 
     def decrypt(self, y: IntOrArray) -> IntOrArray:
@@ -184,7 +213,7 @@ class FeistelNetwork:
         if isinstance(y, np.ndarray):
             if y.size and (y.min() < 0 or int(y.max()) >= self.domain):
                 raise ValueError("addresses outside domain")
-            return self._walk_vec(y, self._decrypt_vec)
+            return self._walk(y, self.key_column, self._decrypt_pass)
         return self._decrypt_scalar(int(y))
 
     def permutation(self) -> np.ndarray:

@@ -253,10 +253,14 @@ class SecurityRBSG(WearLeveler):
         writes per non-fixed-point trigger (swap chains write the pivot
         and the target), with the fixed-point fraction measured on the
         current key pair (:meth:`DynamicFeistelMapper.
-        fixed_point_fraction`); the spare line takes one park write per
-        completed round.  Inner Start-Gap movement wear is the exact gap
-        walk per sub-region.  RAA is declined — the chunk engine and
-        :mod:`repro.sim.roundsim` own that regime.
+        fixed_point_fraction`).  The boot pair is the exception: there
+        ``Kc`` and ``Kp`` are one network, which fixes every line, while
+        each round modelled draws a fresh pair, which fixes almost none,
+        so a commit from boot counts every trigger as a movement.  The
+        spare line takes one park write per completed round.  Inner
+        Start-Gap movement wear is the exact gap walk per sub-region.  RAA
+        is declined — the chunk engine and :mod:`repro.sim.roundsim` own
+        that regime.
         """
         if spec.kind == "raa":
             return None
@@ -270,7 +274,10 @@ class SecurityRBSG(WearLeveler):
             self.outer_write_count // interval
         )
         rounds = t_out // n
-        move_frac = 1.0 - self.outer.fixed_point_fraction()
+        if self.outer.feistel_c is self.outer.feistel_p:  # boot pair
+            move_frac = 1.0
+        else:
+            move_frac = 1.0 - self.outer.fixed_point_fraction()
         rates = np.zeros(self.n_physical)
         counts = np.zeros(self.n_physical, dtype=np.int64)
         data_slots = self.n_subregions * stride

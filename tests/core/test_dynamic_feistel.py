@@ -202,6 +202,45 @@ class TestParkedLine:
         assert mapper.translate(parked) == mapper.spare_slot
 
 
+class TestBatchedAPI:
+    @pytest.mark.parametrize("n_lines,seed", [(64, 5), (128, 6)])
+    def test_translate_many_matches_translate(self, n_lines, seed):
+        """The one keyed pass agrees with the per-line rule after every
+        trigger of two whole rounds.  128 lines is an odd address width,
+        so the pass cycle-walks."""
+        mapper = DynamicFeistelMapper(n_lines, n_stages=7, rng=seed)
+        las = np.arange(n_lines)
+        saw_parked = saw_displaced = False
+        while mapper.round_count < 3:
+            expected = [mapper.translate(la) for la in range(n_lines)]
+            assert mapper.translate_many(las).tolist() == expected
+            mapper.step()
+            saw_parked |= mapper.parked_la is not None
+            saw_displaced |= mapper.displaced_la is not None
+        assert saw_parked and saw_displaced
+
+    @pytest.mark.parametrize("n_lines", [256, 512])
+    @pytest.mark.parametrize("rounds", [0, 1, 2, 50])
+    def test_advance_rounds_matches_successive_rekeys(self, n_lines, rounds):
+        """One key draw per jump: same key pair, round count and RNG
+        stream as rotating the keys ``rounds`` times."""
+        jump_rng = np.random.default_rng(21)
+        step_rng = np.random.default_rng(21)
+        mapper = DynamicFeistelMapper(n_lines, n_stages=7, rng=jump_rng)
+        twin = DynamicFeistelMapper(n_lines, n_stages=7, rng=step_rng)
+        previous = current = twin.feistel_c
+        for _ in range(rounds):
+            previous, current = current, current.rekeyed(step_rng)
+        mapper.advance_rounds(rounds)
+        assert mapper.feistel_c.keys == current.keys
+        assert mapper.feistel_p.keys == previous.keys
+        assert mapper.round_count == rounds
+        assert mapper.round_complete()
+        assert jump_rng.bit_generator.state == step_rng.bit_generator.state
+        assert (jump_rng.integers(0, 1 << 16, size=5)
+                == step_rng.integers(0, 1 << 16, size=5)).all()
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     n_bits=st.integers(2, 6),

@@ -26,6 +26,18 @@ class TestConstruction:
         assert network.n_stages == 5
         assert network.n_bits == 8
 
+    @pytest.mark.parametrize("bits", [2, 9, 16, 32])
+    def test_draw_keys_matches_successive_random(self, bits):
+        """One ``(count, S)`` draw is the stream of ``count`` draws."""
+        batch_rng = np.random.default_rng(3)
+        step_rng = np.random.default_rng(3)
+        keys = FeistelNetwork.draw_keys(bits, 7, 40, batch_rng)
+        assert keys.shape == (40, 7)
+        for row in keys:
+            expected = FeistelNetwork.random(bits, 7, step_rng).keys
+            assert tuple(row.tolist()) == expected
+        assert batch_rng.bit_generator.state == step_rng.bit_generator.state
+
     def test_rekeyed_same_shape_new_keys(self):
         network = FeistelNetwork.random(8, 3, rng=0)
         fresh = network.rekeyed(rng=1)
@@ -56,6 +68,17 @@ class TestPermutation:
             assert network.encrypt(x) == int(vector[x])
         back = network.decrypt(vector)
         assert (back == xs).all()
+
+    @pytest.mark.parametrize("bits", [6, 7])
+    def test_keyed_pass_matches_per_network(self, bits):
+        """Per-address key schedules equal encrypting with each network."""
+        a = FeistelNetwork.random(bits, 5, rng=1)
+        b = FeistelNetwork.random(bits, 5, rng=2)
+        xs = np.arange(1 << bits, dtype=np.uint64)
+        pick = xs % 3 == 0
+        keys = np.where(pick, a.key_column, b.key_column)
+        expected = np.where(pick, a.encrypt(xs), b.encrypt(xs))
+        assert (a.encrypt_keyed(xs, keys) == expected).all()
 
     def test_domain_checked_scalar(self):
         network = FeistelNetwork.random(4, 3, rng=0)

@@ -1,11 +1,14 @@
 """Tests for the Security RBSG scheme (the paper's contribution)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.config import PCMConfig
 from repro.core.security_rbsg import SecurityRBSG
-from repro.pcm.timing import ALL0, ALL1
+from repro.pcm.timing import ALL0, ALL1, TimingModel
+from repro.sim.fastforward import TraceSpec
 from repro.sim.memory_system import MemoryController
 from repro.wearlevel.base import CopyMove, SwapMove
 
@@ -125,3 +128,30 @@ class TestWearLeveling:
         # than the whole stream.
         assert wear.max() < 0.15 * controller.array.total_writes
         assert (wear > 0).sum() > 32
+
+
+class TestAnalyticRound:
+    @pytest.mark.parametrize("rounds", [1, 50])
+    def test_boot_commit_models_outer_movement(self, rounds):
+        """At boot ``Kc is Kp`` fixes every line, but the rounds a commit
+        models draw fresh pairs: the profile must charge their outer
+        movement writes, within 5% of stepping a twin DFN."""
+        n = 256
+        scheme = make(n_lines=n, n_subregions=8, inner=100, outer=200,
+                      stages=7, seed=7)
+        twin = copy.deepcopy(scheme.outer)
+        writes = rounds * n * scheme.outer_interval
+        spec = TraceSpec(kind="uniform", n_lines=n, seed=7)
+        profile = scheme.round_wear_profile(
+            spec, writes, TimingModel(PCMConfig(n_lines=n))
+        )
+        # Beyond the user writes (uniform rates) and the inner gap walks
+        # (counts inside the sub-regions): the outer swaps and copies
+        # (rates) and the park writes to the spare, the last line.
+        modelled = (profile.wear_rates.sum() - writes
+                    + profile.wear_counts[scheme.n_physical - 1])
+        exact = 0
+        for _ in range(rounds * n):
+            move = twin.step()
+            exact += 2 if isinstance(move, SwapMove) else int(move is not None)
+        assert modelled == pytest.approx(exact, rel=0.05)

@@ -53,7 +53,7 @@ class MultiWaySRTimingAttack:
         self.size = scheme.subregion_size
         self.s_bits = bit_length_exact(self.size)
         self.target_offset = target_offset
-        self.remap_interval = scheme.regions[target_region].remap_interval
+        self.remap_interval = scheme.regions.remap_interval
         self.mirror = _SRMirror(self.size, self.remap_interval)
         self.detection_writes = 0
         self.synchronized = False

@@ -52,8 +52,8 @@ class _Movement:
 class _RegionMirror:
     """The attacker's exact replica of one region's Start-Gap registers.
 
-    Identical state machine to
-    :class:`~repro.wearlevel.startgap.StartGapRegion`; kept separate so the
+    Identical state machine to one region of
+    :class:`~repro.wearlevel.startgap.StartGapBank`; kept separate so the
     attack demonstrably uses no scheme internals, only the public algorithm.
     """
 

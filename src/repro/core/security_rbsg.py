@@ -9,8 +9,8 @@ Two-level, both levels *dynamic*:
   of Feistel stages is the security knob.  One outer remap movement fires
   every ``outer_interval`` writes to the bank.
 * **Inner level** — the IA space is divided into ``n_subregions`` equal
-  contiguous sub-regions, each wear-leveled by plain Start-Gap
-  (:class:`~repro.wearlevel.startgap.StartGapRegion`); one gap movement per
+  contiguous sub-regions, each wear-leveled by plain Start-Gap (one region
+  of a :class:`~repro.wearlevel.startgap.StartGapBank`); one gap movement per
   ``inner_interval`` writes to the sub-region.  Start-Gap is cheap and its
   weak (sequential) remapping rule is harmless here because the outer level
   already randomizes which IA an attacker can reach.
@@ -38,10 +38,10 @@ from repro.wearlevel.base import (
     RoundProfile,
     SwapMove,
     WearLeveler,
-    grouped_cumcount,
+    split_at_trigger,
     spread_exact,
 )
-from repro.wearlevel.startgap import StartGapRegion, gap_walk_wear
+from repro.wearlevel.startgap import StartGapBank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
@@ -78,6 +78,8 @@ class SecurityRBSG(WearLeveler):
             raise ValueError(
                 f"n_subregions ({n_subregions}) must divide n_lines ({n_lines})"
             )
+        if outer_interval < 1:
+            raise ValueError("outer_interval must be >= 1")
         self.n_lines = n_lines
         self.n_subregions = n_subregions
         self.subregion_size = n_lines // n_subregions
@@ -86,10 +88,7 @@ class SecurityRBSG(WearLeveler):
         self.n_stages = n_stages
         gen = as_generator(rng)
         self.outer = DynamicFeistelMapper(n_lines, n_stages=n_stages, rng=gen)
-        self.inners = [
-            StartGapRegion(self.subregion_size, inner_interval)
-            for _ in range(n_subregions)
-        ]
+        self.inners = StartGapBank(n_subregions, self.subregion_size, inner_interval)
         # Layout: R regions of (size+1) slots, then the outer spare line.
         self._region_stride = self.subregion_size + 1
         self._outer_spare_pa = n_subregions * self._region_stride
@@ -102,9 +101,7 @@ class SecurityRBSG(WearLeveler):
         """IA slot (0..N, N = outer spare) to physical line."""
         if ia == self.outer.spare_slot:
             return self._outer_spare_pa
-        region = ia // self.subregion_size
-        local = ia % self.subregion_size
-        return region * self._region_stride + self.inners[region].translate(local)
+        return self.inners.translate(*divmod(ia, self.subregion_size))
 
     def translate(self, la: int) -> int:
         self._check_la(la)
@@ -143,100 +140,56 @@ class SecurityRBSG(WearLeveler):
             # None = fixed-point remap: no data movement needed.
         # Inner level: count the write in the sub-region it lands in
         # (under the post-movement outer mapping).
-        ia = self.outer.translate(la)
-        if ia != self.outer.spare_slot:
-            region = ia // self.subregion_size
-            inner_move = self.inners[region].record_write()
+        region = self.subregion_of_la(la)
+        if region >= 0:
+            inner_move = self.inners.record_write(region)
             if inner_move is not None:
-                base = region * self._region_stride
-                src, dst = inner_move
-                moves.append(CopyMove(src=base + src, dst=base + dst))
+                moves.append(inner_move)
         return moves
 
     # ------------------------------------------------------- batched API
 
-    def _phys_of_ias(self, ias: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_phys_of_ia` (spare slot handled by patch)."""
-        spare = ias == self.outer.spare_slot
-        regions = np.where(spare, 0, ias // self.subregion_size)
-        starts = np.fromiter(
-            (r.start for r in self.inners),
-            dtype=np.int64,
-            count=self.n_subregions,
-        )
-        gaps = np.fromiter(
-            (r.gap for r in self.inners),
-            dtype=np.int64,
-            count=self.n_subregions,
-        )
-        local = (ias % self.subregion_size + starts[regions]) % self.subregion_size
-        local += local >= gaps[regions]
-        pas = regions * self._region_stride + local
-        pas[spare] = self._outer_spare_pa
+    def _locate(self, las: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Sub-region and region-local IA of each write (spare slot: -1)."""
+        ias = self.outer.translate_many(las)
+        regions, locals_ = np.divmod(ias, self.subregion_size)
+        regions[ias == self.outer.spare_slot] = -1
+        return regions, locals_
+
+    def _phys_of_located(
+        self, regions: np.ndarray, locals_: np.ndarray
+    ) -> np.ndarray:
+        pas = self.inners.translate_many(regions, locals_)
+        pas[regions < 0] = self._outer_spare_pa
         return pas
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        return self._phys_of_ias(
-            self.outer.translate_many(np.asarray(las, dtype=np.int64))
+        return self._phys_of_located(
+            *self._locate(np.asarray(las, dtype=np.int64))
         )
 
+    def _outer_remaining(self) -> int:
+        return self.outer_interval - self.outer_write_count % self.outer_interval
+
     def writes_until_next_remap(self) -> int:
-        outer_rem = self.outer_interval - (
-            self.outer_write_count % self.outer_interval
-        )
-        inner_min = min(r.writes_until_next_movement for r in self.inners)
-        return min(outer_rem, inner_min)
+        return min(self._outer_remaining(), int(self.inners.remaining().min()))
 
     def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
         """Exact split: global outer counter, per-sub-region inner counters.
 
         Writes landing on the outer spare slot advance no inner counter —
-        exactly as :meth:`record_write` skips them — so they are excluded
-        from the grouped occurrence count.
+        exactly as :meth:`record_write` skips them — so they carry region
+        -1 through :func:`~repro.wearlevel.base.split_at_trigger`.
         """
-        if las.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        outer_rem = self.outer_interval - (
-            self.outer_write_count % self.outer_interval
+        pas, n = split_at_trigger(
+            self.inners,
+            las,
+            min(int(las.size), self._outer_remaining() - 1),
+            self.subregion_of_la,
+            self._locate,
+            self._phys_of_located,
         )
-        limit = min(int(las.size), outer_rem - 1)
-        if limit <= 0:
-            return np.empty(0, dtype=np.int64), 0
-        remaining = np.fromiter(
-            (r.writes_until_next_movement for r in self.inners),
-            dtype=np.int64,
-            count=self.n_subregions,
-        )
-        # Trigger right at index 0 (the call after an inner remap) needs
-        # no scan: one scalar DFN translate tells whether the first write
-        # hits a region whose counter is about to fire (spare-slot writes
-        # never do).
-        first_ia = self.outer.translate(int(las[0]))
-        if (first_ia != self.outer.spare_slot
-                and remaining[first_ia // self.subregion_size] <= 1):
-            return np.empty(0, dtype=np.int64), 0
-        # Inner scan-window cap (same rationale as RBSG's consume_chunk);
-        # spare-slot writes hit no inner counter, so the bound stays safe
-        # (they only stretch the run, never trigger inside it).
-        limit = min(limit, max(int(remaining.sum()), 1))
-        las = np.asarray(las[:limit], dtype=np.int64)
-        ias = self.outer.translate_many(las)
-        spare = ias == self.outer.spare_slot
-        # Spare-slot writes get group -1: they keep their position in the
-        # chunk but never match a region's remaining count.
-        regions = np.where(spare, -1, ias // self.subregion_size)
-        occ = grouped_cumcount(regions)
-        hits = (occ + 1 >= remaining[np.where(spare, 0, regions)]) & ~spare
-        trigger = np.nonzero(hits)[0]
-        n = int(trigger[0]) if trigger.size else limit
-        if n == 0:
-            return np.empty(0, dtype=np.int64), 0
-        pas = self._phys_of_ias(ias[:n])
         self.outer_write_count += n
-        inner_regions = regions[:n][~spare[:n]]
-        counts = np.bincount(inner_regions, minlength=self.n_subregions)
-        for r in np.nonzero(counts)[0]:
-            self.inners[int(r)].write_count += int(counts[r])
         return pas, n
 
     # -------------------------------------------------- fast-forward API
@@ -266,7 +219,6 @@ class SecurityRBSG(WearLeveler):
             return None
         writes = int(writes)
         n = self.n_lines
-        stride = self._region_stride
         if spec.kind == "zipf":
             writes = min(writes, n * self.outer_interval)
         interval = self.outer_interval
@@ -280,7 +232,7 @@ class SecurityRBSG(WearLeveler):
             move_frac = 1.0 - self.outer.fixed_point_fraction()
         rates = np.zeros(self.n_physical)
         counts = np.zeros(self.n_physical, dtype=np.int64)
-        data_slots = self.n_subregions * stride
+        data_slots = self.n_subregions * self._region_stride
         rates[:data_slots] += 2.0 * move_frac * t_out / data_slots
         counts[self._outer_spare_pa] += rounds
         if spec.kind == "zipf":
@@ -312,19 +264,13 @@ class SecurityRBSG(WearLeveler):
                     np.full(self.n_physical, writes / self.n_physical), writes
                 )
         region_writes = spread_exact(region_q * writes, writes)
-        inner_movements = 0
-        for index, region in enumerate(self.inners):
-            movements = region.pending_movements(int(region_writes[index]))
-            inner_movements += movements
-            base = index * stride
-            counts[base : base + stride] += gap_walk_wear(
-                stride, region.gap, movements
-            )
+        inner_movements = self.inners.pending(region_writes)
+        counts[:data_slots] += self.inners.movement_wear(inner_movements)
         elapsed = writes * timing.write_latency(spec.data)
         elapsed += (
             move_frac * t_out * timing.swap_latency(spec.data, spec.data)
         )
-        elapsed += inner_movements * timing.copy_latency(spec.data)
+        elapsed += int(inner_movements.sum()) * timing.copy_latency(spec.data)
         return RoundProfile(
             writes,
             elapsed,
@@ -346,15 +292,5 @@ class SecurityRBSG(WearLeveler):
         self.outer.total_movements += triggers
         region_writes = profile.meta["region_writes"]
         assert isinstance(region_writes, np.ndarray)
-        for region, w_r in zip(self.inners, region_writes):
-            movements = region.pending_movements(int(w_r))
-            region.write_count += int(w_r)
-            region.advance_movements(movements)
+        self.inners.advance(region_writes)
         return profile.elapsed_ns
-
-    # ------------------------------------------------------------- queries
-
-    @property
-    def dfn_round_count(self) -> int:
-        """Completed + in-progress outer remapping rounds so far."""
-        return self.outer.round_count

@@ -9,7 +9,8 @@ down.
 Interval discovery is duck-typed: the wrapper rescales every
 ``remap_interval`` / ``inner_interval`` / ``outer_interval`` attribute it
 finds on the scheme and on its ``region`` / ``regions`` / ``inners`` /
-``outer`` sub-objects — which covers every scheme in this library.
+``outer`` sub-objects (region banks share one interval across their
+regions) — which covers every scheme in this library.
 
 This is the mechanism the paper's §III-B warns about: against RAA/BPA it
 multiplies lifetime, but against the Remapping Timing Attack a higher
@@ -26,8 +27,7 @@ from repro.defense.attack_detector import OnlineAttackDetector
 from repro.wearlevel.base import Move, WearLeveler
 
 _INTERVAL_FIELDS = ("remap_interval", "inner_interval", "outer_interval")
-_SUBOBJECT_FIELDS = ("region", "outer")
-_SUBLIST_FIELDS = ("regions", "inners")
+_SUBOBJECT_FIELDS = ("region", "regions", "inners", "outer")
 
 
 def _interval_slots(scheme) -> List[Tuple[object, str, int]]:
@@ -45,11 +45,6 @@ def _interval_slots(scheme) -> List[Tuple[object, str, int]]:
         child = getattr(scheme, field, None)
         if child is not None:
             visit(child)
-    for field in _SUBLIST_FIELDS:
-        children = getattr(scheme, field, None)
-        if children:
-            for child in children:
-                visit(child)
     return slots
 
 

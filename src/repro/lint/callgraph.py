@@ -139,7 +139,7 @@ class ModuleTable:
     #: on ``self`` — lets ``self.store.append(...)`` resolve.  PR 9
     #: extends the harvest to constructor assignments
     #: (``self.outer = DynamicFeistelMapper(...)``) and list
-    #: comprehensions of constructors (``self.regions = [SRRegion(...)
+    #: comprehensions of constructors (``self.regions = [Region(...)
     #: for ...]`` records the *element* type), which is what lets the
     #: address-domain rules type ``self.outer.translate(...)`` calls.
     attr_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
@@ -196,8 +196,8 @@ def _annotation_dotted(node: ast.expr) -> Optional[str]:
 def _ctor_dotted(value: ast.expr) -> Optional[str]:
     """Dotted class name when ``value`` is a constructor call.
 
-    ``SRRegion(...)`` and ``[SRRegion(...) for r in ...]`` both resolve
-    to ``SRRegion`` (for the latter, the element type); anything whose
+    ``Region(...)`` and ``[Region(...) for r in ...]`` both resolve
+    to ``Region`` (for the latter, the element type); anything whose
     callee does not look like a class (capitalised leaf) returns None.
     """
     if isinstance(value, ast.ListComp):

@@ -12,8 +12,8 @@ from repro.wearlevel.multiway_sr import MultiWaySR
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.random_swap import RandomSwapWearLeveling
 from repro.wearlevel.rbsg import RegionBasedStartGap
-from repro.wearlevel.security_refresh import SecurityRefresh, SRRegion
-from repro.wearlevel.startgap import StartGap, StartGapRegion
+from repro.wearlevel.security_refresh import SecurityRefresh, SRBank
+from repro.wearlevel.startgap import StartGap, StartGapBank
 from repro.wearlevel.table_based import TableBasedWearLeveling
 from repro.wearlevel.two_level_sr import TwoLevelSecurityRefresh
 
@@ -24,10 +24,10 @@ __all__ = [
     "NoWearLeveling",
     "RandomSwapWearLeveling",
     "RegionBasedStartGap",
-    "SRRegion",
+    "SRBank",
     "SecurityRefresh",
     "StartGap",
-    "StartGapRegion",
+    "StartGapBank",
     "SwapMove",
     "TableBasedWearLeveling",
     "TwoLevelSecurityRefresh",

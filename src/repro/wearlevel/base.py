@@ -16,13 +16,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
     from repro.sim.fastforward import TraceSpec
+    from repro.wearlevel.security_refresh import SRBank
+    from repro.wearlevel.startgap import StartGapBank
 
 
 def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
@@ -47,6 +49,67 @@ def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     occ = np.empty(n, dtype=np.int64)
     occ[order] = positions - group_start
     return occ
+
+
+def split_at_trigger(
+    bank: Union["StartGapBank", "SRBank"],
+    las: np.ndarray,
+    limit: int,
+    region_of: Callable[[int], int],
+    locate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    translate: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> Tuple[np.ndarray, int]:
+    """:meth:`WearLeveler.consume_chunk` for a scheme built on ``bank``.
+
+    The chunk split every region-partitioned scheme shares.  Only the
+    target region's counter advances per write, so the first trigger is
+    the first write whose occurrence number within its region
+    (:func:`grouped_cumcount`) reaches that region's remaining count.
+    ``locate`` maps writes to ``(regions, locals)`` and ``translate`` maps
+    those to physical addresses; region ``-1`` marks a write no region
+    counts (Security RBSG's outer spare slot), which never triggers.
+    ``region_of`` is the scalar region of one write.
+
+    * **Early exit.**  The call right after a remap sees the trigger at
+      index 0; one scalar ``region_of`` answers that without a scan.
+    * **Scan-window cap.**  Every counted write advances one region, so by
+      pigeonhole ``sum(remaining)`` writes always contain a trigger;
+      scanning further only re-locates and re-sorts tail writes a later
+      call must redo.  Uncounted writes can end a window early.
+
+    Returns ``(pas, n)`` for the prefix — at most ``limit`` writes, none
+    when the first write may remap — whose writes are now counted in
+    ``bank.write_count``.
+    """
+    if limit <= 0:
+        return np.empty(0, dtype=np.int64), 0
+    remaining = bank.remaining()
+    first = region_of(int(las[0]))
+    if first >= 0 and remaining[first] <= 1:
+        return np.empty(0, dtype=np.int64), 0
+    window = min(limit, int(remaining.sum()))
+    regions, locals_ = locate(np.asarray(las[:window], dtype=np.int64))
+    counted = regions >= 0
+    hits = (grouped_cumcount(regions) + 1 >= remaining[regions]) & counted
+    trigger = np.flatnonzero(hits)
+    n = int(trigger[0]) if trigger.size else window
+    bank.write_count += np.bincount(
+        regions[:n][counted[:n]], minlength=remaining.size
+    )
+    return translate(regions[:n], locals_[:n]), n
+
+
+def spread_even(totals: np.ndarray, width: int) -> np.ndarray:
+    """Each of ``totals`` spread over its own ``width`` consecutive slots.
+
+    Region-major concatenation of ``spread_exact(np.full(width, t / width),
+    t)`` for every ``t``: ``t // width`` per slot, plus one on the first
+    ``t % width`` slots (equal fractions break ties by lower index).
+    """
+    totals = np.asarray(totals, dtype=np.int64)
+    laps, rem = np.divmod(totals, width)
+    extra = np.arange(width) < rem[:, None]
+    return (laps[:, None] + extra).ravel()
 
 
 @dataclass(frozen=True)

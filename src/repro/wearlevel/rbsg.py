@@ -29,14 +29,14 @@ from repro.core.randomizer import RandomInvertibleMatrix
 from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
-    CopyMove,
     Move,
     RoundProfile,
     WearLeveler,
-    grouped_cumcount,
+    split_at_trigger,
+    spread_even,
     spread_exact,
 )
-from repro.wearlevel.startgap import StartGapRegion, gap_walk_wear
+from repro.wearlevel.startgap import StartGapBank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
@@ -90,10 +90,7 @@ class RegionBasedStartGap(WearLeveler):
             self._randomizer = None
         else:
             raise ValueError(f"unknown randomizer {randomizer!r}")
-        self.regions = [
-            StartGapRegion(self.region_size, remap_interval)
-            for _ in range(n_regions)
-        ]
+        self.regions = StartGapBank(n_regions, self.region_size, remap_interval)
 
     # ------------------------------------------------------------- mapping
 
@@ -113,28 +110,17 @@ class RegionBasedStartGap(WearLeveler):
         """Region index a given IA falls into."""
         return ia // self.region_size
 
-    def _region_base(self, region: int) -> int:
-        return region * (self.region_size + 1)
-
     def translate(self, la: int) -> int:
         self._check_la(la)
-        ia = self.randomize(la)
-        region = self.region_of(ia)
-        local = ia % self.region_size
-        return self._region_base(region) + self.regions[region].translate(local)
+        region, local = divmod(self.randomize(la), self.region_size)
+        return self.regions.translate(region, local)
 
     # -------------------------------------------------------------- writes
 
     def record_write(self, la: int) -> List[Move]:
         self._check_la(la)
-        ia = self.randomize(la)
-        region = self.region_of(ia)
-        move = self.regions[region].record_write()
-        if move is None:
-            return []
-        base = self._region_base(region)
-        src, dst = move
-        return [CopyMove(src=base + src, dst=base + dst)]
+        move = self.regions.record_write(self.randomize(la) // self.region_size)
+        return [] if move is None else [move]
 
     # ------------------------------------------------------- batched API
 
@@ -145,70 +131,36 @@ class RegionBasedStartGap(WearLeveler):
         out = self._randomizer.encrypt(np.asarray(las, dtype=np.uint64))
         return np.asarray(out).astype(np.int64)
 
+    def _locate(self, las: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Region and region-local IA of each write."""
+        return np.divmod(self.randomize_many(las), self.region_size)
+
+    def _region_of_la(self, la: int) -> int:
+        return self.region_of(self.randomize(la))
+
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        ias = self.randomize_many(las)
-        regions = ias // self.region_size
-        starts = np.fromiter(
-            (r.start for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        gaps = np.fromiter(
-            (r.gap for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        local = (ias % self.region_size + starts[regions]) % self.region_size
-        local += local >= gaps[regions]
-        return regions * (self.region_size + 1) + local
+        return self.regions.translate_many(*self._locate(las))
 
     def writes_until_next_remap(self) -> int:
         # Conservative (any region's trigger might be hit first); the
         # exact per-address split lives in consume_chunk.
-        return min(r.writes_until_next_movement for r in self.regions)
+        return int(self.regions.remaining().min())
 
     def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
         """Exact split: stop right before the first write that remaps.
 
-        Only the target region's counter advances per write, so the first
-        trigger is the first write whose occurrence number within its
-        region reaches that region's remaining count — a grouped cumcount,
-        not a global minimum.  This is what keeps chunks long under
-        spread-out traffic.
+        Only the target region's counter advances per write, so the split
+        (:func:`~repro.wearlevel.base.split_at_trigger`) keeps chunks long
+        under spread-out traffic.
         """
-        if las.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        remaining = np.fromiter(
-            (r.writes_until_next_movement for r in self.regions),
-            dtype=np.int64,
-            count=self.n_regions,
+        return split_at_trigger(
+            self.regions,
+            las,
+            int(las.size),
+            self._region_of_la,
+            self._locate,
+            self.regions.translate_many,
         )
-        # The call right after a remap sees the trigger at index 0; one
-        # scalar randomize answers that without scanning a whole window.
-        first_region = self.randomize(int(las[0])) // self.region_size
-        if remaining[first_region] <= 1:
-            return np.empty(0, dtype=np.int64), 0
-        # Cap the scan window at sum(remaining): by pigeonhole a window
-        # that long always contains a trigger, so one scan per remap
-        # cycle suffices — while scanning further than that only
-        # re-randomizes and re-sorts tail writes a later call must redo.
-        window = min(int(las.size), max(int(remaining.sum()), 1))
-        ias = self.randomize_many(np.asarray(las[:window], dtype=np.int64))
-        regions = ias // self.region_size
-        trigger = np.nonzero(grouped_cumcount(regions) + 1 >= remaining[regions])[0]
-        n = int(trigger[0]) if trigger.size else window
-        if n == 0:
-            return np.empty(0, dtype=np.int64), 0
-        regions = regions[:n]
-        starts = np.fromiter(
-            (r.start for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        gaps = np.fromiter(
-            (r.gap for r in self.regions), dtype=np.int64, count=self.n_regions
-        )
-        local = (ias[:n] % self.region_size + starts[regions]) % self.region_size
-        local += local >= gaps[regions]
-        pas = regions * (self.region_size + 1) + local
-        counts = np.bincount(regions, minlength=self.n_regions)
-        for r in np.nonzero(counts)[0]:
-            self.regions[int(r)].write_count += int(counts[r])
-        return pas, n
 
     # -------------------------------------------------- fast-forward API
 
@@ -250,18 +202,10 @@ class RegionBasedStartGap(WearLeveler):
             if writes <= 0:
                 return None
         region_writes = spread_exact(region_q * writes, writes)
-        counts = np.zeros(self.n_physical, dtype=np.int64)
+        movements = self.regions.pending(region_writes)
+        counts = self.regions.movement_wear(movements)
         rates: Optional[np.ndarray] = None
         exact = False
-        total_movements = 0
-        for index, region in enumerate(self.regions):
-            w_r = int(region_writes[index])
-            movements = region.pending_movements(w_r)
-            total_movements += movements
-            base = index * stride
-            counts[base : base + stride] += gap_walk_wear(
-                stride, region.gap, movements
-            )
         if spec.kind == "zipf":
             weights = spec.weights()
             assert weights is not None
@@ -275,16 +219,10 @@ class RegionBasedStartGap(WearLeveler):
         elif spec.kind == "uniform":
             rates = np.repeat(region_writes / stride, stride)
         else:  # sequential: deterministic, rotation-smoothed per region
-            user = np.concatenate(
-                [
-                    spread_exact(np.full(stride, w / stride), int(w))
-                    for w in region_writes
-                ]
-            )
-            counts += user
+            counts += spread_even(region_writes, stride)
             exact = True
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += total_movements * timing.copy_latency(spec.data)
+        elapsed += int(movements.sum()) * timing.copy_latency(spec.data)
         return RoundProfile(
             writes,
             elapsed,
@@ -297,17 +235,10 @@ class RegionBasedStartGap(WearLeveler):
     def apply_round(self, profile: RoundProfile) -> float:
         region_writes = profile.meta["region_writes"]
         assert isinstance(region_writes, np.ndarray)
-        for region, w_r in zip(self.regions, region_writes):
-            movements = region.pending_movements(int(w_r))
-            region.write_count += int(w_r)
-            region.advance_movements(movements)
+        self.regions.advance(region_writes)
         return profile.elapsed_ns
 
     # ------------------------------------------------------------- queries
-
-    def writes_until_next_movement(self, region: int) -> int:
-        """Writes to ``region`` remaining before its next gap movement."""
-        return self.regions[region].writes_until_next_movement
 
     def physically_previous_la(self, la: int) -> int:
         """Ground-truth ``L_{i-1} = f^{-1}(f(L_i) - 1)`` within the region.

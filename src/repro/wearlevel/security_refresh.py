@@ -16,7 +16,7 @@ physical lines — no gap line needed (Fig. 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -35,131 +35,168 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.fastforward import TraceSpec
 
 
-class SRRegion:
-    """One Security Refresh region over ``n_lines`` (a power of two).
+def _swaps_before(crp: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Swaps a round with key difference ``diff`` makes before CRP ``crp``.
 
-    Region-local: addresses and returned swap pairs are in ``[0, n_lines)``.
-    Shared by the one-level scheme, the two-level scheme and Multi-Way SR.
+    Line ``la`` swaps when the CRP passes it iff ``la ^ diff > la``, i.e.
+    iff ``la`` has a 0 at ``diff``'s top bit ``2^h``: the lower half of
+    every aligned block of ``2^(h+1)`` lines.  ``diff == 0`` swaps none.
+    """
+    top = diff.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
+        top |= top >> shift
+    half = top - (top >> 1)
+    block = np.maximum(2 * half, 1)
+    return crp // block * half + np.minimum(crp % block, half)
+
+
+class SRBank:
+    """Security Refresh registers of ``n_regions`` equal regions.
+
+    ``keyc``, ``keyp``, ``crp``, ``write_count``, ``round_count`` and
+    ``total_swaps`` are int64 arrays indexed by region; all regions share
+    one ``remap_interval`` and one generator, which draws keys in region
+    order.  Region ``r`` owns bank slots ``r * size .. (r + 1) * size - 1``
+    and every slot the bank returns is such a bank slot.  Used with one
+    region by :class:`SecurityRefresh` and as two-level SR's outer level,
+    and as the region bank of two-level SR's inner level and Multi-Way SR.
     """
 
-    def __init__(self, n_lines: int, remap_interval: int, rng: SeedLike = None):
-        self.n_bits = bit_length_exact(n_lines)
+    def __init__(
+        self,
+        n_regions: int,
+        size: int,
+        remap_interval: int,
+        rng: SeedLike = None,
+    ):
+        bit_length_exact(size)  # validates power of two
         if remap_interval < 1:
             raise ValueError("remap_interval must be >= 1")
-        self.n_lines = n_lines
+        self.size = size
         self.remap_interval = remap_interval
         self._rng = as_generator(rng)
-        initial_key = self._draw_key()
-        self.keyc = initial_key
-        self.keyp = initial_key  # boot state: one completed round with keyc
-        self.crp = 0
-        self.write_count = 0
-        self.round_count = 0
-        self.total_swaps = 0
+        self.keyc = self._rng.integers(0, size, size=n_regions)
+        self.keyp = self.keyc.copy()  # boot state: one completed round with keyc
+        self.crp = np.zeros(n_regions, dtype=np.int64)
+        self.write_count = np.zeros(n_regions, dtype=np.int64)
+        self.round_count = np.zeros(n_regions, dtype=np.int64)
+        self.total_swaps = np.zeros(n_regions, dtype=np.int64)
 
-    def _draw_key(self) -> int:
-        return int(self._rng.integers(0, self.n_lines))
+    # ------------------------------------------------------- scalar path
 
-    # ------------------------------------------------------------- mapping
+    def translate(self, r: int, local: int) -> int:
+        """Bank slot of region ``r``'s local address ``local``."""
+        if not 0 <= local < self.size:
+            raise ValueError(f"address {local} outside region [0, {self.size})")
+        keyc, keyp = self.keyc.item(r), self.keyp.item(r)
+        remapped = min(local, local ^ keyc ^ keyp) < self.crp.item(r)
+        return r * self.size + (local ^ (keyc if remapped else keyp))
 
-    def pair_of(self, la: int) -> int:
-        """``paired(la)``: the line whose slot ``la`` moves into this round."""
-        return la ^ self.keyc ^ self.keyp
-
-    def is_remapped(self, la: int) -> bool:
-        """Has ``la`` been remapped in the current round?"""
-        return min(la, self.pair_of(la)) < self.crp
-
-    def translate(self, la: int) -> int:
-        if not 0 <= la < self.n_lines:
-            raise ValueError(f"address {la} outside region [0, {self.n_lines})")
-        key = self.keyc if self.is_remapped(la) else self.keyp
-        return la ^ key
-
-    def translate_many(self, las: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`translate` (bounds are the caller's problem)."""
-        pairs = las ^ (self.keyc ^ self.keyp)
-        remapped = np.minimum(las, pairs) < self.crp
-        return las ^ np.where(remapped, self.keyc, self.keyp)
-
-    # -------------------------------------------------------------- remaps
-
-    def record_write(self) -> Optional[Tuple[int, int]]:
-        """Count one write; return a local slot swap ``(a, b)`` if triggered.
+    def record_write(self, r: int) -> Optional[SwapMove]:
+        """Count one write to region ``r``; return a slot swap if triggered.
 
         Returns ``None`` either when no remap fires or when the fired remap
         needs no data movement (its pair was already handled, Fig. 5(c)).
         """
-        self.write_count += 1
-        if self.write_count % self.remap_interval != 0:
+        count = self.write_count.item(r) + 1
+        self.write_count[r] = count
+        if count % self.remap_interval:
             return None
-        return self.remap_step()
+        return self.remap_step(r)
 
-    def remap_step(self) -> Optional[Tuple[int, int]]:
-        """Advance the CRP by one candidate; swap lines if needed."""
-        la = self.crp
-        pair = self.pair_of(la)
-        swap: Optional[Tuple[int, int]] = None
-        if pair > la:
+    def remap_step(self, r: int) -> Optional[SwapMove]:
+        """Advance region ``r``'s CRP by one candidate; swap lines if needed."""
+        la = self.crp.item(r)
+        keyc, keyp = self.keyc.item(r), self.keyp.item(r)
+        swap: Optional[SwapMove] = None
+        if la ^ keyc ^ keyp > la:
             # Not yet remapped: move la's data from its old slot to its new
-            # slot, which is exactly pair's old slot — one swap does both.
-            old_slot = la ^ self.keyp
-            new_slot = la ^ self.keyc
-            if old_slot != new_slot:
-                swap = (old_slot, new_slot)
-                self.total_swaps += 1
-        # pair <= la: already swapped when CRP passed `pair` (or identity).
-        self.crp += 1
-        if self.crp == self.n_lines:
-            self._finish_round()
+            # slot, which is exactly its pair's old slot — one swap does both.
+            base = r * self.size
+            swap = SwapMove(pa_a=base + (la ^ keyp), pa_b=base + (la ^ keyc))
+            self.total_swaps[r] += 1
+        # Otherwise the pair was swapped when the CRP passed it (or la is a
+        # fixed point).
+        la += 1
+        if la == self.size:  # round complete: rotate the keys
+            self.keyp[r] = keyc
+            self.keyc[r] = self._rng.integers(0, self.size)
+            self.round_count[r] += 1
+            la = 0
+        self.crp[r] = la
         return swap
 
-    def _finish_round(self) -> None:
-        self.keyp = self.keyc
-        self.keyc = self._draw_key()
-        self.crp = 0
-        self.round_count += 1
+    # ------------------------------------------------------- vector path
 
-    @property
-    def writes_until_next_remap(self) -> int:
-        """Writes remaining before the CRP advances again."""
-        return self.remap_interval - (self.write_count % self.remap_interval)
+    def translate_many(self, regions: np.ndarray, locals_: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`translate` (bounds are the caller's problem)."""
+        kc = self.keyc[regions]
+        kp = self.keyp[regions]
+        remapped = np.minimum(locals_, locals_ ^ (kc ^ kp)) < self.crp[regions]
+        return regions * self.size + (locals_ ^ np.where(remapped, kc, kp))
 
-    # -------------------------------------------------- fast-forward jump
+    def remaining(self) -> np.ndarray:
+        """Writes each region takes until its CRP advances again (>= 1)."""
+        return self.remap_interval - self.write_count % self.remap_interval
 
-    def pending_triggers(self, writes: int) -> int:
-        """CRP advances the next ``writes`` region writes will trigger."""
+    def pending(self, writes: np.ndarray) -> np.ndarray:
+        """CRP advances ``writes[r]`` more writes to region ``r`` trigger."""
         interval = self.remap_interval
         return (self.write_count + writes) // interval - self.write_count // interval
 
-    @property
-    def swap_factor(self) -> float:
-        """Expected data movements per CRP advance (steady state).
+    def advance(self, writes: np.ndarray) -> None:
+        """Count ``writes[r]`` writes per region and jump over their remaps.
+
+        Closed form of the :meth:`remap_step` calls they trigger.  Completed
+        rounds draw their keys in one ``integers`` call split in region
+        order, which yields the same keys and generator state as drawing
+        them region by region, round by round.  The last two keys of each
+        region survive as ``keyp``/``keyc``; every completed round with
+        distinct keys swaps half the region (:func:`_swaps_before`).
+        """
+        triggers = self.pending(writes)
+        self.write_count += writes
+        diff = self.keyc ^ self.keyp
+        rounds, crp = np.divmod(self.crp + triggers, self.size)
+        turned = rounds > 0
+        swaps = _swaps_before(np.where(turned, self.size, crp), diff)
+        swaps -= _swaps_before(self.crp, diff)
+        drawn = int(rounds.sum())
+        if drawn:
+            keys = self._rng.integers(0, self.size, size=drawn)
+            last = np.cumsum(rounds)[turned] - 1  # each region's newest key
+            prev = np.empty_like(keys)
+            prev[1:] = keys[:-1]
+            prev[last - rounds[turned] + 1] = self.keyc[turned]
+            full = keys != prev
+            full[last] = False  # the newest key's round is still running
+            owner = np.repeat(np.arange(rounds.size), rounds)
+            swaps += np.bincount(owner[full], minlength=rounds.size) * (
+                self.size // 2
+            )
+            swaps[turned] += _swaps_before(crp[turned], keys[last] ^ prev[last])
+            self.keyp[turned] = prev[last]
+            self.keyc[turned] = keys[last]
+            self.round_count += rounds
+        self.crp[:] = crp
+        self.total_swaps += swaps
+
+    def expected_swaps(self, writes: np.ndarray) -> np.ndarray:
+        """Expected swaps ``writes[r]`` more writes to region ``r`` trigger.
 
         Each address pair ``(la, pair(la))`` swaps exactly once per round,
         when the CRP passes its lower member — half the advances move
         data.  When ``keyc == keyp`` (the boot round) every line is a
         fixed point and nothing ever moves.
         """
-        return 0.0 if self.keyc == self.keyp else 0.5
+        return self.pending(writes) * np.where(self.keyc == self.keyp, 0.0, 0.5)
 
-    def advance_triggers(self, triggers: int) -> None:
-        """Jump the CRP (and any completed key rotations) over ``triggers``.
+    def movement_wear(self, swaps: np.ndarray) -> np.ndarray:
+        """Expected per-bank-slot wear of ``swaps[r]`` swaps per region.
 
-        Whole rounds draw their keys in one batched RNG call; only the
-        last two survive as ``keyp``/``keyc``, exactly as ``triggers``
-        sequential :meth:`remap_step` calls would leave them (the analytic
-        tier does not promise draw-for-draw RNG-stream identity with the
-        exact engines — it never runs interleaved with them).  Write
-        counters are the caller's responsibility.
+        Two line writes per swap, rotation-smoothed over the region.
         """
-        total = self.crp + triggers
-        rounds, self.crp = divmod(total, self.n_lines)
-        if rounds:
-            keys = self._rng.integers(0, self.n_lines, size=rounds)
-            self.keyp = int(keys[-2]) if rounds >= 2 else self.keyc
-            self.keyc = int(keys[-1])
-            self.round_count += rounds
+        return np.repeat(2.0 * np.asarray(swaps) / self.size, self.size)
 
 
 class SecurityRefresh(WearLeveler):
@@ -168,26 +205,24 @@ class SecurityRefresh(WearLeveler):
     def __init__(self, n_lines: int, remap_interval: int = 64, rng: SeedLike = None):
         self.n_lines = n_lines
         self.n_physical = n_lines  # swap-based: no spare lines
-        self.region = SRRegion(n_lines, remap_interval, rng)
+        self.region = SRBank(1, n_lines, remap_interval, rng)
 
     def translate(self, la: int) -> int:
         self._check_la(la)
-        return self.region.translate(la)
+        return self.region.translate(0, la)
 
     def record_write(self, la: int) -> List[Move]:
         self._check_la(la)
-        swap = self.region.record_write()
-        if swap is None:
-            return []
-        return [SwapMove(pa_a=swap[0], pa_b=swap[1])]
+        swap = self.region.record_write(0)
+        return [] if swap is None else [swap]
 
     # ------------------------------------------------------- batched API
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        return self.region.translate_many(np.asarray(las, dtype=np.int64))
+        return self.region.translate_many(0, np.asarray(las, dtype=np.int64))
 
     def writes_until_next_remap(self) -> int:
-        return self.region.writes_until_next_remap
+        return int(self.region.remaining()[0])
 
     def record_writes_many(self, las: np.ndarray) -> None:
         self.region.write_count += int(las.size)
@@ -195,7 +230,7 @@ class SecurityRefresh(WearLeveler):
     @property
     def key_xor(self) -> int:
         """Ground truth ``keyc XOR keyp`` — what the RTA tries to recover."""
-        return self.region.keyc ^ self.region.keyp
+        return self.region.keyc.item(0) ^ self.region.keyp.item(0)
 
     # -------------------------------------------------- fast-forward API
 
@@ -208,7 +243,7 @@ class SecurityRefresh(WearLeveler):
         sequential sweep covers every slot evenly; zipf snapshots the
         current mapping with ``writes`` clipped to one key round.  Swap
         movement wear is two line writes per actual swap, half the CRP
-        advances in expectation (see :attr:`SRRegion.swap_factor`),
+        advances in expectation (see :meth:`SRBank.expected_swaps`),
         rotation-smoothed over the region.  RAA is declined.
         """
         if spec.kind == "raa":
@@ -218,9 +253,8 @@ class SecurityRefresh(WearLeveler):
         n = self.n_lines
         if spec.kind == "zipf":
             writes = min(writes, n * region.remap_interval)
-        triggers = region.pending_triggers(writes)
-        swaps = triggers * region.swap_factor
-        rates = np.full(n, 2.0 * swaps / n)
+        swaps = region.expected_swaps(writes)
+        rates = region.movement_wear(swaps)
         counts: Optional[np.ndarray] = None
         if spec.kind == "uniform":
             rates += writes / n
@@ -237,14 +271,11 @@ class SecurityRefresh(WearLeveler):
         else:  # sequential: deterministic even coverage
             counts = spread_exact(np.full(n, writes / n), writes)
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += swaps * timing.swap_latency(spec.data, spec.data)
+        elapsed += float(swaps[0]) * timing.swap_latency(spec.data, spec.data)
         return RoundProfile(
             writes, elapsed, wear_counts=counts, wear_rates=rates
         )
 
     def apply_round(self, profile: RoundProfile) -> float:
-        region = self.region
-        triggers = region.pending_triggers(profile.writes)
-        region.write_count += profile.writes
-        region.advance_triggers(triggers)
+        self.region.advance(profile.writes)
         return profile.elapsed_ns

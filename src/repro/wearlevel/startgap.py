@@ -16,7 +16,7 @@ advances, completing one remapping round exactly as in Fig. 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -33,99 +33,105 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.fastforward import TraceSpec
 
 
-def gap_walk_wear(n_slots: int, gap0: int, movements: int) -> np.ndarray:
-    """Exact per-slot wear of ``movements`` consecutive gap movements.
+class StartGapBank:
+    """Start-Gap registers of ``n_regions`` equal regions, one array each.
 
-    Movement ``j`` copies into slot ``(gap0 - j) mod n_slots`` (the gap
-    walks downward, wrapping through the top slot), so the destinations
-    are ``movements // n_slots`` full laps plus one contiguous wrapped
-    run — no loop needed.
-    """
-    counts = np.full(n_slots, movements // n_slots, dtype=np.int64)
-    rem = movements % n_slots
-    if rem:
-        # reprolint: disable=REP302 rem < n_slots distinct offsets
-        counts[(gap0 - np.arange(rem)) % n_slots] += 1
-    return counts
-
-
-class StartGapRegion:
-    """The per-region Start-Gap engine, operating on region-local slots.
-
-    Used standalone by :class:`StartGap`, and as the building block of
-    Region-Based Start-Gap and of Security RBSG's inner level.  Slot indices
-    are local (``0 .. n_lines``, slot ``n_lines`` being the initial gap).
+    ``start``, ``gap``, ``write_count`` and ``total_movements`` are int64
+    arrays indexed by region — the per-sub-region register file the paper
+    sizes in §V-C3 and :mod:`repro.analysis.overhead` counts.  All regions
+    share one ``remap_interval``.  Region ``r`` owns bank slots
+    ``r * (size + 1) .. r * (size + 1) + size`` (its ``size`` data slots,
+    then its gap line); every slot the bank returns is such a bank slot.
+    Used with one region by :class:`StartGap`, and as the region bank of
+    Region-Based Start-Gap and of Security RBSG's inner level.
     """
 
-    def __init__(self, n_lines: int, remap_interval: int):
-        if n_lines < 1:
-            raise ValueError("n_lines must be >= 1")
+    def __init__(self, n_regions: int, size: int, remap_interval: int):
+        if size < 1:
+            raise ValueError("region size must be >= 1")
         if remap_interval < 1:
             raise ValueError("remap_interval must be >= 1")
-        self.n_lines = n_lines
+        self.size = size
         self.remap_interval = remap_interval
-        self.start = 0
-        self.gap = n_lines  # gap starts at the spare slot
-        self.write_count = 0
-        self.total_movements = 0
+        self.start = np.zeros(n_regions, dtype=np.int64)
+        self.gap = np.full(n_regions, size, dtype=np.int64)  # the spare slot
+        self.write_count = np.zeros(n_regions, dtype=np.int64)
+        self.total_movements = np.zeros(n_regions, dtype=np.int64)
 
-    def translate(self, ia: int) -> int:
-        """Map region-local intermediate address to region-local slot."""
-        if not 0 <= ia < self.n_lines:
-            raise ValueError(f"intermediate address {ia} outside region")
-        pa = (ia + self.start) % self.n_lines
-        if pa >= self.gap:
-            pa += 1
-        return pa
+    # ------------------------------------------------------- scalar path
 
-    def record_write(self) -> Optional[Tuple[int, int]]:
-        """Count one write; return a local ``(src, dst)`` copy if triggered."""
-        self.write_count += 1
-        if self.write_count % self.remap_interval != 0:
+    def translate(self, r: int, local: int) -> int:
+        """Bank slot of region ``r``'s local address ``local``."""
+        if not 0 <= local < self.size:
+            raise ValueError(f"address {local} outside region [0, {self.size})")
+        slot = (local + self.start.item(r)) % self.size
+        if slot >= self.gap.item(r):
+            slot += 1
+        return r * (self.size + 1) + slot
+
+    def record_write(self, r: int) -> Optional[CopyMove]:
+        """Count one write to region ``r``; return its gap movement if due."""
+        count = self.write_count.item(r) + 1
+        self.write_count[r] = count
+        if count % self.remap_interval:
             return None
-        return self.gap_movement()
+        return self.gap_movement(r)
 
-    def gap_movement(self) -> Tuple[int, int]:
-        """Perform one gap movement; return the local ``(src, dst)`` copy."""
-        n_slots = self.n_lines + 1
-        src = (self.gap - 1) % n_slots
-        dst = self.gap
-        self.gap = src
-        if self.gap == self.n_lines:  # wrapped: one full round completed
-            self.start = (self.start + 1) % self.n_lines
-        self.total_movements += 1
-        return src, dst
+    def gap_movement(self, r: int) -> CopyMove:
+        """Perform one gap movement of region ``r``: copy ``[gap-1] → [gap]``."""
+        dst = self.gap.item(r)
+        src = (dst - 1) % (self.size + 1)
+        self.gap[r] = src
+        if src == self.size:  # wrapped: one full round completed
+            self.start[r] = (self.start.item(r) + 1) % self.size
+        self.total_movements[r] += 1
+        base = r * (self.size + 1)
+        return CopyMove(src=base + src, dst=base + dst)
 
-    @property
-    def writes_until_next_movement(self) -> int:
-        """Writes remaining before the next gap movement fires."""
-        return self.remap_interval - (self.write_count % self.remap_interval)
+    # ------------------------------------------------------- vector path
 
-    def pending_movements(self, writes: int) -> int:
-        """Gap movements the next ``writes`` region writes will trigger."""
+    def translate_many(self, regions: np.ndarray, locals_: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`translate` (bounds are the caller's problem)."""
+        slots = (locals_ + self.start[regions]) % self.size
+        slots += slots >= self.gap[regions]
+        return regions * (self.size + 1) + slots
+
+    def remaining(self) -> np.ndarray:
+        """Writes each region takes until its next gap movement (>= 1)."""
+        return self.remap_interval - self.write_count % self.remap_interval
+
+    def pending(self, writes: np.ndarray) -> np.ndarray:
+        """Gap movements ``writes[r]`` more writes to region ``r`` trigger."""
         interval = self.remap_interval
         return (self.write_count + writes) // interval - self.write_count // interval
 
-    def advance_movements(self, movements: int) -> None:
-        """Jump the ``start``/``gap`` registers over ``movements`` movements.
+    def advance(self, writes: np.ndarray) -> None:
+        """Count ``writes[r]`` writes per region and jump over their movements.
 
-        Closed form of ``movements`` successive :meth:`gap_movement` calls:
-        after ``M`` total movements from boot the gap sits at
-        ``(n - M) mod (n + 1)`` and ``start`` has advanced once per full
-        lap of the gap (every ``n + 1`` movements).  Write counters are the
-        caller's responsibility.
+        Closed form of the :meth:`gap_movement` calls they trigger: after
+        ``M`` movements from boot the gap sits at ``(n - M) mod (n + 1)``
+        and ``start`` has advanced once per full lap of the gap (every
+        ``n + 1`` movements).
         """
-        total = self.total_movements + movements
-        n_slots = self.n_lines + 1
-        self.gap = (self.n_lines - total) % n_slots
-        self.start = (total // n_slots) % self.n_lines
-        self.total_movements = total
+        total = self.total_movements + self.pending(writes)
+        self.write_count += writes
+        slots = self.size + 1
+        self.gap[:] = (self.size - total) % slots
+        self.start[:] = total // slots % self.size
+        self.total_movements[:] = total
 
-    def translate_many(self, ias: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`translate` (bounds are the caller's problem)."""
-        pas = (ias + self.start) % self.n_lines
-        pas += pas >= self.gap
-        return pas
+    def movement_wear(self, movements: np.ndarray) -> np.ndarray:
+        """Exact per-bank-slot wear of ``movements[r]`` gap movements each.
+
+        Movement ``j`` of region ``r`` copies into local slot ``(gap - j)
+        mod (size + 1)`` (the gap walks downward, wrapping through the top
+        slot), so each region takes ``movements // (size + 1)`` full laps
+        plus one contiguous wrapped run — no loop needed.
+        """
+        slots = self.size + 1
+        laps, rem = np.divmod(np.asarray(movements, dtype=np.int64), slots)
+        walked = (self.gap[:, None] - np.arange(slots)) % slots < rem[:, None]
+        return (laps[:, None] + walked).ravel()
 
 
 class StartGap(WearLeveler):
@@ -134,27 +140,24 @@ class StartGap(WearLeveler):
     def __init__(self, n_lines: int, remap_interval: int = 100):
         self.n_lines = n_lines
         self.n_physical = n_lines + 1
-        self.region = StartGapRegion(n_lines, remap_interval)
+        self.region = StartGapBank(1, n_lines, remap_interval)
 
     def translate(self, la: int) -> int:
         self._check_la(la)
-        return self.region.translate(la)
+        return self.region.translate(0, la)
 
     def record_write(self, la: int) -> List[Move]:
         self._check_la(la)
-        move = self.region.record_write()
-        if move is None:
-            return []
-        src, dst = move
-        return [CopyMove(src=src, dst=dst)]
+        move = self.region.record_write(0)
+        return [] if move is None else [move]
 
     # ------------------------------------------------------- batched API
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        return self.region.translate_many(np.asarray(las, dtype=np.int64))
+        return self.region.translate_many(0, np.asarray(las, dtype=np.int64))
 
     def writes_until_next_remap(self) -> int:
-        return self.region.writes_until_next_movement
+        return int(self.region.remaining()[0])
 
     def record_writes_many(self, las: np.ndarray) -> None:
         # Address-oblivious single counter; the prefix contract guarantees
@@ -169,15 +172,16 @@ class StartGap(WearLeveler):
         """Closed-form Start-Gap round: exact movement wear + user wear.
 
         Movement destinations are the deterministic gap walk
-        (:func:`gap_walk_wear`).  User wear under uniform traffic is
-        rotation-smoothed over all ``n + 1`` slots (the mapping rotates
-        one slot per ``n + 1`` movements); sequential traffic uses the
-        same smoothing but deterministically discretized; zipf snapshots
-        the current mapping, with ``writes`` clipped to one full rotation
-        so the hot line's slot stays put within the round.  RAA is
-        declined — a single hot address interacts with the moving gap at
-        per-interval granularity, which is exactly what the chunk engine
-        (and :mod:`repro.sim.roundsim`) already simulate efficiently.
+        (:meth:`StartGapBank.movement_wear`).  User wear under uniform
+        traffic is rotation-smoothed over all ``n + 1`` slots (the mapping
+        rotates one slot per ``n + 1`` movements); sequential traffic uses
+        the same smoothing but deterministically discretized; zipf
+        snapshots the current mapping, with ``writes`` clipped to one full
+        rotation so the hot line's slot stays put within the round.  RAA
+        is declined — a single hot address interacts with the moving gap
+        at per-interval granularity, which is exactly what the chunk
+        engine (and :mod:`repro.sim.roundsim`) already simulate
+        efficiently.
         """
         if spec.kind == "raa":
             return None
@@ -186,8 +190,8 @@ class StartGap(WearLeveler):
         n_slots = self.n_physical
         if spec.kind == "zipf":
             writes = min(writes, n_slots * region.remap_interval)
-        movements = region.pending_movements(writes)
-        counts = gap_walk_wear(n_slots, region.gap, movements)
+        movements = region.pending(writes)
+        counts = region.movement_wear(movements)
         rates: Optional[np.ndarray] = None
         exact = False
         if spec.kind == "uniform":
@@ -208,19 +212,15 @@ class StartGap(WearLeveler):
             )
             exact = True
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += movements * timing.copy_latency(spec.data)
+        elapsed += int(movements[0]) * timing.copy_latency(spec.data)
         return RoundProfile(
             writes,
             elapsed,
             wear_counts=counts,
             wear_rates=rates,
             exact=exact,
-            meta={"movements": movements},
         )
 
     def apply_round(self, profile: RoundProfile) -> float:
-        self.region.write_count += profile.writes
-        movements = profile.meta["movements"]
-        assert isinstance(movements, int)
-        self.region.advance_movements(movements)
+        self.region.advance(profile.writes)
         return profile.elapsed_ns

@@ -29,10 +29,10 @@ from repro.wearlevel.base import (
     RoundProfile,
     SwapMove,
     WearLeveler,
-    grouped_cumcount,
+    split_at_trigger,
     spread_exact,
 )
-from repro.wearlevel.security_refresh import SRRegion
+from repro.wearlevel.security_refresh import SRBank
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
@@ -72,11 +72,8 @@ class TwoLevelSecurityRefresh(WearLeveler):
         self.subregion_size = n_lines // n_subregions
         bit_length_exact(self.subregion_size)  # validates power of two
         gen = as_generator(rng)
-        self.outer = SRRegion(n_lines, outer_interval, gen)
-        self.inners = [
-            SRRegion(self.subregion_size, inner_interval, gen)
-            for _ in range(n_subregions)
-        ]
+        self.outer = SRBank(1, n_lines, outer_interval, gen)
+        self.inners = SRBank(n_subregions, self.subregion_size, inner_interval, gen)
 
     # ------------------------------------------------------------- mapping
 
@@ -84,107 +81,72 @@ class TwoLevelSecurityRefresh(WearLeveler):
         """Sub-region index of an intermediate address."""
         return ia // self.subregion_size
 
+    def _subregion_of_la(self, la: int) -> int:
+        """Sub-region a line currently lives in."""
+        return self.subregion_of(self.outer.translate(0, la))
+
     def _phys_of_ia(self, ia: int) -> int:
-        region = self.subregion_of(ia)
-        local = ia % self.subregion_size
-        return region * self.subregion_size + self.inners[region].translate(local)
+        return self.inners.translate(*divmod(ia, self.subregion_size))
 
     def translate(self, la: int) -> int:
         self._check_la(la)
-        return self._phys_of_ia(self.outer.translate(la))
+        return self._phys_of_ia(self.outer.translate(0, la))
 
     # -------------------------------------------------------------- writes
 
     def record_write(self, la: int) -> List[Move]:
         self._check_la(la)
         moves: List[Move] = []
-        # Outer level counts every write to the bank.
-        outer_swap = self.outer.record_write()
+        # Outer level counts every write to the bank; its swap exchanges
+        # two IAs, i.e. the lines they occupy through the inner mapping.
+        outer_swap = self.outer.record_write(0)
         if outer_swap is not None:
-            ia_a, ia_b = outer_swap
-            pa_a = self._phys_of_ia(ia_a)
-            pa_b = self._phys_of_ia(ia_b)
+            pa_a = self._phys_of_ia(outer_swap.pa_a)
+            pa_b = self._phys_of_ia(outer_swap.pa_b)
             if pa_a != pa_b:
                 moves.append(SwapMove(pa_a=pa_a, pa_b=pa_b))
         # Inner level counts writes landing in the target sub-region
         # (computed under the post-outer-remap mapping).
-        ia = self.outer.translate(la)
-        region = self.subregion_of(ia)
-        base = region * self.subregion_size
-        inner_swap = self.inners[region].record_write()
+        inner_swap = self.inners.record_write(self._subregion_of_la(la))
         if inner_swap is not None:
-            moves.append(SwapMove(pa_a=base + inner_swap[0], pa_b=base + inner_swap[1]))
+            moves.append(inner_swap)
         return moves
 
     # ------------------------------------------------------- batched API
 
-    def _translate_inners(
-        self, regions: np.ndarray, locals_: np.ndarray
-    ) -> np.ndarray:
-        keycs = np.fromiter(
-            (r.keyc for r in self.inners), dtype=np.int64, count=self.n_subregions
-        )
-        keyps = np.fromiter(
-            (r.keyp for r in self.inners), dtype=np.int64, count=self.n_subregions
-        )
-        crps = np.fromiter(
-            (r.crp for r in self.inners), dtype=np.int64, count=self.n_subregions
-        )
-        kc = keycs[regions]
-        kp = keyps[regions]
-        pairs = locals_ ^ kc ^ kp
-        remapped = np.minimum(locals_, pairs) < crps[regions]
-        return regions * self.subregion_size + (
-            locals_ ^ np.where(remapped, kc, kp)
-        )
+    def _locate(self, las: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Sub-region and region-local IA of each write."""
+        return np.divmod(self.outer.translate_many(0, las), self.subregion_size)
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        ias = self.outer.translate_many(np.asarray(las, dtype=np.int64))
-        return self._translate_inners(
-            ias // self.subregion_size, ias % self.subregion_size
+        return self.inners.translate_many(
+            *self._locate(np.asarray(las, dtype=np.int64))
         )
 
+    def _outer_remaining(self) -> int:
+        interval = self.outer.remap_interval
+        return interval - self.outer.write_count.item(0) % interval
+
     def writes_until_next_remap(self) -> int:
-        inner_min = min(r.writes_until_next_remap for r in self.inners)
-        return min(self.outer.writes_until_next_remap, inner_min)
+        return min(self._outer_remaining(), int(self.inners.remaining().min()))
 
     def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
         """Exact split: outer counter is global, inner counters per region.
 
         The prefix must end strictly before the outer trigger (every write
         counts there) *and* before the first write whose region-local
-        occurrence number reaches its inner region's remaining count.
+        occurrence number reaches its inner region's remaining count
+        (:func:`~repro.wearlevel.base.split_at_trigger`).
         """
-        if las.size == 0:
-            return np.empty(0, dtype=np.int64), 0
-        limit = min(int(las.size), self.outer.writes_until_next_remap - 1)
-        if limit <= 0:
-            return np.empty(0, dtype=np.int64), 0
-        remaining = np.fromiter(
-            (r.writes_until_next_remap for r in self.inners),
-            dtype=np.int64,
-            count=self.n_subregions,
+        pas, n = split_at_trigger(
+            self.inners,
+            las,
+            min(int(las.size), self._outer_remaining() - 1),
+            self._subregion_of_la,
+            self._locate,
+            self.inners.translate_many,
         )
-        # Trigger right at index 0 (the call after an inner remap) needs
-        # no scan; one scalar outer translate answers it.
-        first_region = self.outer.translate(int(las[0])) // self.subregion_size
-        if remaining[first_region] <= 1:
-            return np.empty(0, dtype=np.int64), 0
-        # Inner scan-window cap (same rationale as RBSG's consume_chunk).
-        limit = min(limit, max(int(remaining.sum()), 1))
-        las = np.asarray(las[:limit], dtype=np.int64)
-        ias = self.outer.translate_many(las)
-        regions = ias // self.subregion_size
-        trigger = np.nonzero(grouped_cumcount(regions) + 1 >= remaining[regions])[0]
-        n = int(trigger[0]) if trigger.size else limit
-        if n == 0:
-            return np.empty(0, dtype=np.int64), 0
-        regions = regions[:n]
-        pas = self._translate_inners(regions, ias[:n] % self.subregion_size)
         self.outer.write_count += n
-        counts = np.bincount(regions, minlength=self.n_subregions)
-        for r in np.nonzero(counts)[0]:
-            self.inners[int(r)].write_count += int(counts[r])
         return pas, n
 
     # -------------------------------------------------- fast-forward API
@@ -208,25 +170,20 @@ class TwoLevelSecurityRefresh(WearLeveler):
         size = self.subregion_size
         if spec.kind == "zipf":
             writes = min(writes, n * self.outer.remap_interval)
-        outer_swaps = self.outer.pending_triggers(writes) * self.outer.swap_factor
-        rates = np.full(n, 2.0 * outer_swaps / n)
+        outer_swaps = self.outer.expected_swaps(writes)
+        rates = self.outer.movement_wear(outer_swaps)
         if spec.kind == "zipf":
             weights = spec.weights()
             assert weights is not None
-            ias = self.outer.translate_many(np.arange(n, dtype=np.int64))
+            ias = self.outer.translate_many(0, np.arange(n, dtype=np.int64))
             region_q = np.bincount(
                 ias // size, weights=weights, minlength=self.n_subregions
             )
         else:
             region_q = np.full(self.n_subregions, 1.0 / self.n_subregions)
         region_writes = spread_exact(region_q * writes, writes)
-        inner_swaps = 0.0
-        for index, inner in enumerate(self.inners):
-            w_r = int(region_writes[index])
-            swaps = inner.pending_triggers(w_r) * inner.swap_factor
-            inner_swaps += swaps
-            base = index * size
-            rates[base : base + size] += 2.0 * swaps / size
+        inner_swaps = self.inners.expected_swaps(region_writes)
+        rates += self.inners.movement_wear(inner_swaps)
         counts: Optional[np.ndarray] = None
         if spec.kind == "uniform":
             rates += writes / n
@@ -243,9 +200,9 @@ class TwoLevelSecurityRefresh(WearLeveler):
         else:  # sequential: deterministic even coverage through both XORs
             counts = spread_exact(np.full(n, writes / n), writes)
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += (outer_swaps + inner_swaps) * timing.swap_latency(
-            spec.data, spec.data
-        )
+        elapsed += (
+            float(outer_swaps[0]) + float(inner_swaps.sum())
+        ) * timing.swap_latency(spec.data, spec.data)
         return RoundProfile(
             writes,
             elapsed,
@@ -255,15 +212,10 @@ class TwoLevelSecurityRefresh(WearLeveler):
         )
 
     def apply_round(self, profile: RoundProfile) -> float:
-        outer_triggers = self.outer.pending_triggers(profile.writes)
-        self.outer.write_count += profile.writes
-        self.outer.advance_triggers(outer_triggers)
+        self.outer.advance(profile.writes)
         region_writes = profile.meta["region_writes"]
         assert isinstance(region_writes, np.ndarray)
-        for inner, w_r in zip(self.inners, region_writes):
-            triggers = inner.pending_triggers(int(w_r))
-            inner.write_count += int(w_r)
-            inner.advance_triggers(triggers)
+        self.inners.advance(region_writes)
         return profile.elapsed_ns
 
     # ------------------------------------------------------------- oracles
@@ -271,9 +223,8 @@ class TwoLevelSecurityRefresh(WearLeveler):
     @property
     def outer_key_xor(self) -> int:
         """Ground truth outer ``keyc XOR keyp`` (RTA recovery target)."""
-        return self.outer.keyc ^ self.outer.keyp
+        return self.outer.keyc.item(0) ^ self.outer.keyp.item(0)
 
     def inner_key_xor(self, region: int) -> int:
         """Ground truth inner ``keyc XOR keyp`` of one sub-region."""
-        inner = self.inners[region]
-        return inner.keyc ^ inner.keyp
+        return self.inners.keyc.item(region) ^ self.inners.keyp.item(region)

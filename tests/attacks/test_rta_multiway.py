@@ -43,7 +43,7 @@ class TestDetection:
         attack.synchronize()
         recovered = attack.detect_key_xor()
         scheme = controller.scheme
-        truth = scheme.regions[region].keyc ^ scheme.regions[region].keyp
+        truth = scheme.regions.keyc[region] ^ scheme.regions.keyp[region]
         assert recovered == truth
 
     def test_detection_cost_scales_with_subregion(self):
@@ -72,8 +72,8 @@ class TestDetection:
         attack.synchronize()
         attack.detect_key_xor()
         scheme = controller.scheme
-        assert scheme.regions[0].write_count == 0
-        assert scheme.regions[1].write_count > 0
+        assert scheme.regions.write_count[0] == 0
+        assert scheme.regions.write_count[1] > 0
 
 
 class TestWearOut:

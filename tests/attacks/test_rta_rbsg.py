@@ -28,15 +28,15 @@ def make_attack(n_lines=2**9, regions=8, interval=8, target=5, seed=7):
 class TestRegionMirror:
     def test_mirror_tracks_real_region(self):
         """The attacker's mirror replays the exact register evolution."""
-        from repro.wearlevel.startgap import StartGapRegion
+        from repro.wearlevel.startgap import StartGapBank
 
-        real = StartGapRegion(16, 3)
+        real = StartGapBank(1, 16, 3)
         mirror = _RegionMirror(16, 3)
         for _ in range(200):
-            real.record_write()
+            real.record_write(0)
             mirror.count_write()
-            assert mirror.gap == real.gap
-            assert mirror.start == real.start
+            assert mirror.gap == real.gap[0]
+            assert mirror.start == real.start[0]
 
     def test_slot_inversion(self):
         mirror = _RegionMirror(16, 1)

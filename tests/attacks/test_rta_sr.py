@@ -19,15 +19,15 @@ def make_attack(n_lines=2**8, interval=64, target=3, seed=11):
 
 class TestSRMirror:
     def test_tracks_real_crp(self):
-        from repro.wearlevel.security_refresh import SRRegion
+        from repro.wearlevel.security_refresh import SRBank
 
-        real = SRRegion(32, 4, rng=0)
+        real = SRBank(1, 32, 4, rng=0)
         mirror = _SRMirror(32, 4)
         for _ in range(500):
-            real.record_write()
+            real.record_write(0)
             mirror.count_write()
-            assert mirror.crp == real.crp
-        assert mirror.rounds == real.round_count
+            assert mirror.crp == real.crp[0]
+        assert mirror.rounds == real.round_count[0]
 
     def test_round_started_flag(self):
         mirror = _SRMirror(4, 1)

@@ -36,6 +36,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SecurityRBSG(64, n_subregions=5)
 
+    @pytest.mark.parametrize("inner,outer", [(4, 0), (4, -4), (0, 4)])
+    def test_intervals_must_be_positive(self, inner, outer):
+        with pytest.raises(ValueError):
+            SecurityRBSG(64, 4, inner, outer, 3)
+
     def test_translation_is_bijection(self):
         scheme = make(seed=3)
         table = scheme.mapping_snapshot()

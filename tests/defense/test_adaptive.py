@@ -5,10 +5,12 @@ import pytest
 
 from repro.attacks.raa import RepeatedAddressAttack
 from repro.config import PCMConfig
-from repro.defense.adaptive import AdaptiveWearLeveler, _interval_slots
+from repro.defense.adaptive import AdaptiveWearLeveler
 from repro.defense.attack_detector import OnlineAttackDetector
 from repro.pcm.timing import ALL1
 from repro.sim.memory_system import MemoryController
+from repro.wearlevel.base import CopyMove
+from repro.wearlevel.multiway_sr import MultiWaySR
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.rbsg import RegionBasedStartGap
 from repro.wearlevel.security_refresh import SecurityRefresh
@@ -17,17 +19,52 @@ from repro.wearlevel.two_level_sr import TwoLevelSecurityRefresh
 from repro.core.security_rbsg import SecurityRBSG
 
 
+class _ScriptedDetector:
+    """Detector stand-in whose alarm the test raises and lowers."""
+
+    alarm = False
+
+    def record(self, la: int) -> bool:
+        return self.alarm
+
+
 class TestIntervalDiscovery:
     def test_finds_knobs_on_every_scheme(self):
+        """Escalation shrinks every region's remap period 4x, then restores it.
+
+        Observed as movement line writes (copy 1, swap 2) over equal phases
+        of a fixed sweep, after a warm-up past SR's movement-free boot
+        round: a level or region whose interval the wrapper missed keeps
+        its calm rate and pulls the escalated ratio well below 4.
+        """
         schemes = [
-            StartGap(64, 8),
-            RegionBasedStartGap(64, 4, 8, rng=0),
-            SecurityRefresh(64, 8, rng=0),
-            TwoLevelSecurityRefresh(64, 4, 4, 8, rng=0),
-            SecurityRBSG(64, 4, 4, 8, 3, rng=0),
+            StartGap(256, 8),
+            RegionBasedStartGap(256, 4, 8, rng=0),
+            SecurityRefresh(256, 8, rng=0),
+            TwoLevelSecurityRefresh(256, 4, 8, 8, rng=0),
+            SecurityRBSG(256, 4, 8, 8, 3, rng=0),
+            MultiWaySR(256, 4, 8, rng=0),
         ]
         for scheme in schemes:
-            assert _interval_slots(scheme), type(scheme).__name__
+            detector = _ScriptedDetector()
+            adaptive = AdaptiveWearLeveler(scheme, detector, escalation=4)
+
+            def movement_writes() -> int:
+                total = 0
+                for i in range(4096):
+                    for move in adaptive.record_write(i % 256):
+                        total += 1 if isinstance(move, CopyMove) else 2
+                return total
+
+            movement_writes()  # warm-up
+            calm = movement_writes()
+            detector.alarm = True
+            escalated = movement_writes()
+            detector.alarm = False
+            restored = movement_writes()
+            name = type(scheme).__name__
+            assert 3.6 <= escalated / calm <= 4.4, (name, calm, escalated)
+            assert 0.9 <= restored / calm <= 1.1, (name, calm, restored)
 
     def test_rejects_identity_scheme(self):
         with pytest.raises(ValueError):

@@ -35,8 +35,8 @@ class TestMultiWaySR:
         scheme = MultiWaySR(64, n_subregions=4, remap_interval=4, rng=3)
         for _ in range(8):
             scheme.record_write(0)  # region 0 only
-        assert scheme.regions[0].write_count == 8
-        assert scheme.regions[1].write_count == 0
+        assert scheme.regions.write_count[0] == 8
+        assert scheme.regions.write_count[1] == 0
 
     def test_must_divide(self):
         with pytest.raises(ValueError):

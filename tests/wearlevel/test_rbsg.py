@@ -64,7 +64,7 @@ class TestRegionIsolation:
         assert movements == 4
         # Other regions untouched.
         for r in (1, 2, 3):
-            assert scheme.regions[r].write_count == 0
+            assert scheme.regions.write_count[r] == 0
 
     def test_moves_stay_in_region(self):
         scheme = RegionBasedStartGap(64, n_regions=4, remap_interval=1, rng=4)
@@ -101,7 +101,7 @@ class TestPhysicallyPreviousLA:
             scheme.record_write(i % 64)
             pa = scheme.translate(la)
             pa_prev = scheme.translate(prev)
-            gap = scheme.regions[scheme.region_of(scheme.randomize(la))].gap
+            gap = scheme.regions.gap[scheme.region_of(scheme.randomize(la))]
             delta = (pa - pa_prev) % 17
             # Adjacent, except that the gap slot may sit between them.
             assert delta in (1, 2)

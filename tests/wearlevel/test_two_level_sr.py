@@ -45,26 +45,26 @@ class TestLevelInteraction:
         for i in range(1000):
             scheme.record_write(i % 64)
             for la in range(0, 64, 7):
-                ia = scheme.outer.translate(la)
+                ia = scheme.outer.translate(0, la)
                 pa = scheme.translate(la)
                 assert pa // 16 == ia // 16
 
     def test_outer_counter_counts_all_writes(self):
         scheme = make(outer=5, inner=10**9, seed=3)
-        crp_before = scheme.outer.crp
+        crp_before = scheme.outer.crp[0]
         for i in range(25):
             scheme.record_write(i % 64)
-        assert scheme.outer.crp - crp_before == 5
+        assert scheme.outer.crp[0] - crp_before == 5
 
     def test_inner_counter_counts_subregion_writes(self):
         scheme = make(outer=10**9, inner=4, seed=4)
         la = 11
-        region = scheme.subregion_of(scheme.outer.translate(la))
+        region = scheme.subregion_of(scheme.outer.translate(0, la))
         for _ in range(8):
             scheme.record_write(la)
-        assert scheme.inners[region].write_count == 8
+        assert scheme.inners.write_count[region] == 8
         others = [r for r in range(4) if r != region]
-        assert all(scheme.inners[r].write_count == 0 for r in others)
+        assert all(scheme.inners.write_count[r] == 0 for r in others)
 
     def test_outer_swap_moves_between_subregions(self):
         """Over enough rounds, a hammered LA visits several sub-regions."""
@@ -72,7 +72,7 @@ class TestLevelInteraction:
         regions = set()
         for _ in range(64 * 6):
             scheme.record_write(7)
-            regions.add(scheme.subregion_of(scheme.outer.translate(7)))
+            regions.add(scheme.subregion_of(scheme.outer.translate(0, 7)))
         assert len(regions) >= 2
 
 
@@ -81,13 +81,13 @@ class TestOracles:
         scheme = make(outer=1, inner=10**9, seed=6)
         for _ in range(64):
             scheme.record_write(0)
-        assert scheme.outer_key_xor == scheme.outer.keyc ^ scheme.outer.keyp
+        assert scheme.outer_key_xor == scheme.outer.keyc[0] ^ scheme.outer.keyp[0]
 
     def test_inner_key_xor(self):
         scheme = make(seed=7)
         for r in range(4):
             assert scheme.inner_key_xor(r) == (
-                scheme.inners[r].keyc ^ scheme.inners[r].keyp
+                scheme.inners.keyc[r] ^ scheme.inners.keyp[r]
             )
 
 

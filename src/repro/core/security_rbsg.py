@@ -26,7 +26,7 @@ document here and in :mod:`repro.analysis.overhead`.)
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,8 +38,8 @@ from repro.wearlevel.base import (
     RoundProfile,
     SwapMove,
     WearLeveler,
-    split_at_trigger,
     spread_exact,
+    walk_windows,
 )
 from repro.wearlevel.startgap import StartGapBank
 
@@ -171,26 +171,22 @@ class SecurityRBSG(WearLeveler):
     def _outer_remaining(self) -> int:
         return self.outer_interval - self.outer_write_count % self.outer_interval
 
-    def writes_until_next_remap(self) -> int:
-        return min(self._outer_remaining(), int(self.inners.remaining().min()))
-
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Exact split: global outer counter, per-sub-region inner counters.
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+        """Windows end at the outer DFN movement; every write counts there.
 
         Writes landing on the outer spare slot advance no inner counter —
         exactly as :meth:`record_write` skips them — so they carry region
-        -1 through :func:`~repro.wearlevel.base.split_at_trigger`.
+        -1 through :func:`~repro.wearlevel.base.walk_windows`.
         """
-        pas, n = split_at_trigger(
+        for pas, n in walk_windows(
             self.inners,
             las,
-            min(int(las.size), self._outer_remaining() - 1),
-            self.subregion_of_la,
             self._locate,
             self._phys_of_located,
-        )
-        self.outer_write_count += n
-        return pas, n
+            self._outer_remaining,
+        ):
+            self.outer_write_count += n
+            yield pas, n
 
     # -------------------------------------------------- fast-forward API
 

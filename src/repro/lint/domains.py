@@ -703,7 +703,7 @@ class AddressDomainConfusion(FlowRule):
 
 #: Batched entry points vs their scalar counterparts (REP306).
 _BATCHED_METHODS = frozenset({
-    "translate_many", "record_writes_many", "consume_chunk",
+    "translate_many", "record_writes_many", "consume_chunk", "chunk_runs",
     "writes_until_next_remap", "round_wear_profile", "apply_round",
 })
 _SCALAR_METHODS = frozenset({"translate", "record_write"})

@@ -44,11 +44,14 @@ class LineFailure(Exception):
     When the failing write was part of a :meth:`PCMArray.write_many`
     chunk, :attr:`chunk_index` carries its position within the chunk so
     the batched engine can attribute user-write counts exactly as the
-    scalar engine would.
+    scalar engine would;
+    :meth:`~repro.sim.memory_system.MemoryController.write_chunk` turns
+    it into the position in its own chunk, which also covers a remap
+    boundary write and its movements.
     """
 
-    #: Index of the failing write within its ``write_many`` chunk (None
-    #: for scalar writes and remap movements).
+    #: Index of the failing write within its ``write_many`` or
+    #: ``write_chunk`` chunk (None for a bare scalar write).
     chunk_index: Optional[int] = None
 
     def __init__(
@@ -343,6 +346,10 @@ class PCMArray:
         pas = np.ascontiguousarray(pas, dtype=np.int64)
         datas = np.ascontiguousarray(datas, dtype=np.int8)
         n = int(pas.size)
+        if datas.size != n:
+            raise ValueError(
+                f"chunk has {n} addresses but {datas.size} data values"
+            )
         if n == 0:
             return 0.0
         if self.faults is not None:

@@ -338,6 +338,10 @@ class ShardedPCMArray:
         pas = np.ascontiguousarray(pas, dtype=np.int64)
         datas = np.ascontiguousarray(datas, dtype=np.int8)
         n = int(pas.size)
+        if datas.size != n:
+            raise ValueError(
+                f"chunk has {n} addresses but {datas.size} data values"
+            )
         if n == 0:
             return 0.0
         if self.config.differential_writes:

@@ -4,9 +4,10 @@ Two drivers, one result type:
 
 * :func:`run_trace` — the scalar reference: one Python call chain per
   logical write.
-* :func:`run_trace_fast` — the chunked fast path: translates and applies
-  whole remap-free runs of writes as numpy array operations, dropping to
-  the scalar path only for the writes that may trigger a remap (and for
+* :func:`run_trace_fast` — the chunked fast path: hands whole trace
+  chunks to :meth:`MemoryController.write_chunk`, which applies the
+  scheme's remap-free runs as numpy array operations and drops to the
+  scalar path only for the writes that may trigger a remap (and for
   schemes/configurations that cannot be chunked).  Bit-identical to
   :func:`run_trace`: same ``elapsed_ns``, ``total_writes``, per-line
   wear, failure PA, and RNG stream.  See ``docs/performance.md``.
@@ -15,14 +16,11 @@ Two drivers, one result type:
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.pcm.array import LineFailure
-from repro.pcm.timing import LineData
 from repro.sim.fastforward import TraceSpec, fast_forward_engaged, run_fast_forward
 from repro.sim.memory_system import MemoryController
 from repro.sim.trace import TraceChunk, TraceEntry, trace_chunks
@@ -119,12 +117,14 @@ def run_trace_fast(
     skips per-entry Python objects entirely, or a
     :class:`~repro.sim.fastforward.TraceSpec` naming a distribution.
 
-    Each chunk is cut at remap boundaries by the scheme itself
-    (``consume_chunk``); the boundary writes — and everything else when a
-    scheme cannot bound its next remap — run through the scalar
-    ``controller.write``, so remap movements and every RNG draw happen in
-    exactly the scalar order.  Failures mid-chunk are attributed to the
-    precise failing write via ``LineFailure.chunk_index``.
+    Each chunk goes to ``controller.write_chunk`` whole (cut only at
+    ``max_writes``).  The scheme walks it as remap-free runs
+    (``chunk_runs``); the boundary writes between runs — and everything
+    else when a scheme cannot bound its next remap — run through the
+    scalar ``controller.write``, so remap movements and every RNG draw
+    happen in exactly the scalar order.  Failures mid-chunk are
+    attributed to the precise failing write via
+    ``LineFailure.chunk_index``.
 
     ``fast_forward`` selects the analytic third tier (requires a
     :class:`TraceSpec` trace): ``"off"`` (default — preserves the
@@ -139,28 +139,17 @@ def run_trace_fast(
     user_writes = 0
     try:
         for las, datas in _as_chunks(trace, batch):
-            pos = 0
-            size = int(las.size)
-            while pos < size:
-                if max_writes is not None and user_writes >= max_writes:
+            if max_writes is not None:
+                room = max_writes - user_writes
+                if room <= 0:
                     break
-                end = size
-                if max_writes is not None:
-                    end = min(size, pos + (max_writes - user_writes))
-                _, n = controller.write_chunk(las[pos:end], datas[pos:end])
-                if n == 0:
-                    # The next write may remap: issue it scalar.
-                    # reprolint: disable=REP002 trace replay
-                    controller.write(int(las[pos]), LineData(int(datas[pos])))
-                    n = 1
-                user_writes += n
-                pos += n
-            if max_writes is not None and user_writes >= max_writes:
-                break
+                las, datas = las[:room], datas[:room]
+            _, n = controller.write_chunk(las, datas)
+            user_writes += n
     except LineFailure as failure:
-        completed = failure.chunk_index if failure.chunk_index is not None else 0
+        assert failure.chunk_index is not None
         return SimulationResult(
-            user_writes=user_writes + completed + 1,
+            user_writes=user_writes + failure.chunk_index + 1,
             total_writes=controller.total_writes,
             elapsed_ns=controller.elapsed_ns,
             failed=True,

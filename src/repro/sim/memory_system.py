@@ -5,6 +5,12 @@ The controller is the attacker's only interface in the exact simulations:
 of any remap movement the write triggered — the paper's premise that
 "remapping halts other requests until it is completed thus incurs extra
 latency to the request which happens just following the remapping".
+
+``write_chunk(las, datas)`` is the batched twin the chunk engine drives:
+it walks the scheme's remap-free runs (:meth:`~repro.wearlevel.base.
+WearLeveler.chunk_runs`), writes each run with one ``write_many`` and each
+remap-boundary write through :meth:`MemoryController.write`, so a whole
+chunk is one call and bit-identical to as many ``write`` calls.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from repro.config import PCMConfig
-from repro.pcm.array import PCMArray
+from repro.pcm.array import LineFailure, PCMArray
 from repro.pcm.health import DeviceHealth
 from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.timing import LineData
@@ -120,23 +126,40 @@ class MemoryController:
     def write_chunk(
         self, las: np.ndarray, datas: np.ndarray
     ) -> Tuple[float, int]:
-        """Write the longest remap-free prefix of a chunk in one batch.
+        """Write a whole chunk; bit-identical to one :meth:`write` per entry.
 
-        Returns ``(latency_ns, n)``: the accumulated latency of the ``n``
-        writes executed.  ``n == 0`` means the very next write may trigger
-        a remap and must go through the scalar :meth:`write` (remap
-        movements are rare and attacker-observable, so they always execute
-        scalar).  Bit-identical to ``n`` scalar :meth:`write` calls — see
-        :meth:`repro.pcm.array.PCMArray.write_many` for the guarantees.
+        The scheme's remap-free runs go to the array in one
+        :meth:`~repro.pcm.array.PCMArray.write_many` each; the write after
+        each run, which may trigger a remap, goes through the scalar
+        :meth:`write` (remap movements are rare and attacker-observable,
+        so they always execute scalar).  Returns ``(latency_ns,
+        len(las))``.  A :class:`~repro.pcm.array.LineFailure` carries the
+        failing write's position in the chunk as ``chunk_index``.
         """
         las = np.asarray(las, dtype=np.int64)
-        if las.size and (int(las.min()) < 0 or int(las.max()) >= self.config.n_lines):
+        datas = np.asarray(datas)
+        size = int(las.size)
+        if datas.size != size:
+            raise ValueError(
+                f"chunk has {size} addresses but {datas.size} data values"
+            )
+        if size and (int(las.min()) < 0 or int(las.max()) >= self.config.n_lines):
             bad = las[(las < 0) | (las >= self.config.n_lines)][0]
             self._check_la(int(bad))
-        pas, n = self.scheme.consume_chunk(las)
-        if n == 0:
-            return 0.0, 0
-        return self.array.write_many(pas, np.asarray(datas)[:n]), n
+        latency = 0.0
+        pos = 0
+        try:
+            for pas, n in self.scheme.chunk_runs(las):
+                if n:
+                    latency += self.array.write_many(pas, datas[pos : pos + n])
+                    pos += n
+                if pos < size:
+                    latency += self.write(int(las[pos]), LineData(int(datas[pos])))
+                    pos += 1
+        except LineFailure as failure:
+            failure.chunk_index = pos + (failure.chunk_index or 0)
+            raise
+        return latency, size
 
     def read(self, la: int) -> Tuple[LineData, float]:
         """Read logical line ``la``; return ``(data, latency_ns)``.

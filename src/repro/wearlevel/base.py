@@ -16,7 +16,16 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -31,9 +40,9 @@ def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     """Occurrence number (0-based) of each element within its group.
 
     ``grouped_cumcount([3, 1, 3, 3, 1]) == [0, 0, 1, 2, 1]``.  This is the
-    primitive the region-partitioned schemes use to find the first write of
-    a chunk that reaches a region's remap trigger: element ``i`` is its
-    region's ``occ[i]``-th write in the chunk.
+    primitive the region-partitioned schemes use to find the writes of a
+    window that reach a region's remap trigger: element ``i`` is its
+    region's ``occ[i]``-th write in the window.
     """
     n = int(groups.size)
     if n == 0:
@@ -51,52 +60,56 @@ def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     return occ
 
 
-def split_at_trigger(
+def walk_windows(
     bank: Union["StartGapBank", "SRBank"],
     las: np.ndarray,
-    limit: int,
-    region_of: Callable[[int], int],
     locate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
     translate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> Tuple[np.ndarray, int]:
-    """:meth:`WearLeveler.consume_chunk` for a scheme built on ``bank``.
+    outer_remaining: Optional[Callable[[], int]] = None,
+) -> Iterator[Tuple[np.ndarray, int]]:
+    """:meth:`WearLeveler.chunk_runs` for a scheme built on ``bank``.
 
-    The chunk split every region-partitioned scheme shares.  Only the
-    target region's counter advances per write, so the first trigger is
-    the first write whose occurrence number within its region
-    (:func:`grouped_cumcount`) reaches that region's remaining count.
-    ``locate`` maps writes to ``(regions, locals)`` and ``translate`` maps
-    those to physical addresses; region ``-1`` marks a write no region
-    counts (Security RBSG's outer spare slot), which never triggers.
-    ``region_of`` is the scalar region of one write.
+    The chunk walk every region-partitioned scheme shares.  A *window* is
+    the stretch of writes before the scheme's next outer trigger (the
+    write ``outer_remaining()`` writes ahead), or the rest of the chunk
+    when the scheme has no outer level.  Inside a window the map from a
+    write to its region is static: an inner movement changes the slot of
+    one or two lines, never the region a write counts in (§IV).  So each
+    window is located once (``locate``: writes to ``(regions, locals)``;
+    region ``-1`` marks a write no region counts, Security RBSG's outer
+    spare slot) and :func:`grouped_cumcount`-ed once, and write ``i`` fires
+    its region's inner movement iff ``(write_count[r] + occ[i] + 1) %
+    remap_interval == 0`` — every trigger of the window, not just the
+    first.
 
-    * **Early exit.**  The call right after a remap sees the trigger at
-      index 0; one scalar ``region_of`` answers that without a scan.
-    * **Scan-window cap.**  Every counted write advances one region, so by
-      pigeonhole ``sum(remaining)`` writes always contain a trigger;
-      scanning further only re-locates and re-sorts tail writes a later
-      call must redo.  Uncounted writes can end a window early.
-
-    Returns ``(pas, n)`` for the prefix — at most ``limit`` writes, none
-    when the first write may remap — whose writes are now counted in
-    ``bank.write_count``.
+    Yields the remap-free runs between those boundary writes.  A run's
+    writes are added to ``bank.write_count`` just before its yield and
+    translated then (``translate``), with the bank's current registers,
+    so a run sees the movements earlier boundary writes made.  The last
+    run of a window ending before its outer trigger is followed by that
+    trigger write.
     """
-    if limit <= 0:
-        return np.empty(0, dtype=np.int64), 0
-    remaining = bank.remaining()
-    first = region_of(int(las[0]))
-    if first >= 0 and remaining[first] <= 1:
-        return np.empty(0, dtype=np.int64), 0
-    window = min(limit, int(remaining.sum()))
-    regions, locals_ = locate(np.asarray(las[:window], dtype=np.int64))
-    counted = regions >= 0
-    hits = (grouped_cumcount(regions) + 1 >= remaining[regions]) & counted
-    trigger = np.flatnonzero(hits)
-    n = int(trigger[0]) if trigger.size else window
-    bank.write_count += np.bincount(
-        regions[:n][counted[:n]], minlength=remaining.size
-    )
-    return translate(regions[:n], locals_[:n]), n
+    size = int(las.size)
+    interval = bank.remap_interval
+    n_regions = bank.write_count.size
+    pos = 0
+    while pos < size:
+        end = size
+        if outer_remaining is not None:
+            end = min(size, pos + outer_remaining() - 1)
+        regions, locals_ = locate(las[pos:end])
+        counted = regions >= 0
+        counts = bank.write_count[regions] + grouped_cumcount(regions) + 1
+        fires = counted & (counts % interval == 0)
+        start = 0
+        for stop in np.flatnonzero(fires).tolist() + [end - pos]:
+            run = slice(start, stop)
+            bank.write_count += np.bincount(
+                regions[run][counted[run]], minlength=n_regions
+            )
+            yield translate(regions[run], locals_[run]), stop - start
+            start = stop + 1
+        pos = end + 1
 
 
 def spread_even(totals: np.ndarray, width: int) -> np.ndarray:
@@ -234,8 +247,8 @@ class WearLeveler(abc.ABC):
     # The fast simulation engine exploits the schemes' shared structure:
     # between remap triggers the LA→PA mapping is *static*, so a chunk of
     # writes can be translated and accounted as numpy array operations.
-    # The contract has three parts; `consume_chunk` composes them and is
-    # what the controller actually calls.
+    # The contract has three parts; `chunk_runs` composes them and is
+    # what the controller actually drives.
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`translate` of in-range addresses.
@@ -259,9 +272,8 @@ class WearLeveler(abc.ABC):
         may remap" — the *conservative fallback*: always safe, and it makes
         the chunk engine degrade transparently to the scalar path one write
         at a time.  Schemes with countable triggers return their real
-        counter distance; region-partitioned schemes return a conservative
-        minimum here and do the exact per-address split in
-        :meth:`consume_chunk`.
+        counter distance; region-partitioned schemes keep this default and
+        override :meth:`chunk_runs` with their exact per-address walk.
 
         The analytic fast-forward tier mirrors exactly this contract one
         level up: :meth:`round_wear_profile` returning ``None`` is the
@@ -319,8 +331,8 @@ class WearLeveler(abc.ABC):
     def record_writes_many(self, las: np.ndarray) -> None:
         """Account a run of writes *known* to trigger no remap.
 
-        Only valid for the remap-free prefix established by
-        :meth:`writes_until_next_remap` / :meth:`consume_chunk`.  The
+        Only valid for the remap-free runs established by
+        :meth:`writes_until_next_remap` / :meth:`chunk_runs`.  The
         default loops :meth:`record_write` and insists nothing fires.
         """
         for la in las:
@@ -330,26 +342,41 @@ class WearLeveler(abc.ABC):
                     "writes_until_next_remap over-promised"
                 )
 
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Translate and account the longest remap-free prefix of ``las``.
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+        """Walk a chunk of writes as remap-free runs and boundary writes.
 
-        Returns ``(pas, n)``: physical addresses of the first ``n`` writes,
-        whose counters are now advanced.  ``n == 0`` means the very next
-        write may remap — the caller must issue it through the scalar
-        :meth:`record_write`/:meth:`translate` path (executing any
-        movements), then try the next chunk.
+        Yields ``(pas, n)`` for the next ``n >= 0`` writes of ``las``:
+        their physical addresses, with their counters already advanced.
+        After each run except one that reaches the end of ``las``, the
+        caller issues the next write through the scalar
+        :meth:`record_write`/:meth:`translate` path (executing its
+        movements), then resumes the generator.  The generator changes
+        state only just before a yield, so every movement and RNG draw
+        happens in scalar order and an abandoned walk (a line failure
+        mid-chunk) leaves the scalar path's mapping.
 
-        Translation happens against the pre-chunk state, which equals the
-        per-write state because no remap fires inside the prefix — the
+        Each run is translated against the state at its yield, which
+        equals the per-write state because no remap fires inside it — the
         static-mapping invariant the fast engine is built on.
         """
-        n = min(int(las.size), self.writes_until_next_remap() - 1)
-        if n <= 0:
-            return np.empty(0, dtype=np.int64), 0
-        prefix = las[:n]
-        pas = self.translate_many(prefix)
-        self.record_writes_many(prefix)
-        return pas, n
+        pos, size = 0, int(las.size)
+        while pos < size:
+            n = max(0, min(size - pos, self.writes_until_next_remap() - 1))
+            pas = np.empty(0, dtype=np.int64)
+            if n:
+                run = las[pos : pos + n]
+                pas = self.translate_many(run)
+                self.record_writes_many(run)
+            yield pas, n
+            pos += n + 1
+
+    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
+        """The first run of :meth:`chunk_runs`: ``(pas, n)`` for the longest
+        remap-free prefix of ``las``, whose counters are now advanced.
+
+        ``n == 0`` means the very next write may remap.
+        """
+        return next(self.chunk_runs(las), (np.empty(0, dtype=np.int64), 0))
 
     # ------------------------------------------------------------- helpers
 

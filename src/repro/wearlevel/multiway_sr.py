@@ -14,7 +14,7 @@ sub-region can be worn out.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from repro.wearlevel.base import (
     Move,
     RoundProfile,
     WearLeveler,
-    split_at_trigger,
     spread_even,
     spread_exact,
+    walk_windows,
 )
 from repro.wearlevel.security_refresh import SRBank
 
@@ -80,18 +80,10 @@ class MultiWaySR(WearLeveler):
             *self._locate(np.asarray(las, dtype=np.int64))
         )
 
-    def writes_until_next_remap(self) -> int:
-        return int(self.regions.remaining().min())
-
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Exact split on the first write that reaches a region's trigger."""
-        return split_at_trigger(
-            self.regions,
-            las,
-            int(las.size),
-            self.subregion_of,
-            self._locate,
-            self.regions.translate_many,
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+        """No outer level: one window per chunk."""
+        return walk_windows(
+            self.regions, las, self._locate, self.regions.translate_many
         )
 
     # -------------------------------------------------- fast-forward API

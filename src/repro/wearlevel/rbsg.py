@@ -20,7 +20,7 @@ slots plus one gap slot each.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,9 +32,9 @@ from repro.wearlevel.base import (
     Move,
     RoundProfile,
     WearLeveler,
-    split_at_trigger,
     spread_even,
     spread_exact,
+    walk_windows,
 )
 from repro.wearlevel.startgap import StartGapBank
 
@@ -135,31 +135,13 @@ class RegionBasedStartGap(WearLeveler):
         """Region and region-local IA of each write."""
         return np.divmod(self.randomize_many(las), self.region_size)
 
-    def _region_of_la(self, la: int) -> int:
-        return self.region_of(self.randomize(la))
-
     def translate_many(self, las: np.ndarray) -> np.ndarray:
         return self.regions.translate_many(*self._locate(las))
 
-    def writes_until_next_remap(self) -> int:
-        # Conservative (any region's trigger might be hit first); the
-        # exact per-address split lives in consume_chunk.
-        return int(self.regions.remaining().min())
-
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Exact split: stop right before the first write that remaps.
-
-        Only the target region's counter advances per write, so the split
-        (:func:`~repro.wearlevel.base.split_at_trigger`) keeps chunks long
-        under spread-out traffic.
-        """
-        return split_at_trigger(
-            self.regions,
-            las,
-            int(las.size),
-            self._region_of_la,
-            self._locate,
-            self.regions.translate_many,
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+        """The static randomizer has no trigger: one window per chunk."""
+        return walk_windows(
+            self.regions, las, self._locate, self.regions.translate_many
         )
 
     # -------------------------------------------------- fast-forward API

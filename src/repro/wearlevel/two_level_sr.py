@@ -18,7 +18,7 @@ slots inside one sub-region.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from repro.wearlevel.base import (
     RoundProfile,
     SwapMove,
     WearLeveler,
-    split_at_trigger,
     spread_exact,
+    walk_windows,
 )
 from repro.wearlevel.security_refresh import SRBank
 
@@ -127,27 +127,17 @@ class TwoLevelSecurityRefresh(WearLeveler):
         interval = self.outer.remap_interval
         return interval - self.outer.write_count.item(0) % interval
 
-    def writes_until_next_remap(self) -> int:
-        return min(self._outer_remaining(), int(self.inners.remaining().min()))
-
-    def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Exact split: outer counter is global, inner counters per region.
-
-        The prefix must end strictly before the outer trigger (every write
-        counts there) *and* before the first write whose region-local
-        occurrence number reaches its inner region's remaining count
-        (:func:`~repro.wearlevel.base.split_at_trigger`).
-        """
-        pas, n = split_at_trigger(
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
+        """Windows end at the outer swap; every write counts there."""
+        for pas, n in walk_windows(
             self.inners,
             las,
-            min(int(las.size), self._outer_remaining() - 1),
-            self._subregion_of_la,
             self._locate,
             self.inners.translate_many,
-        )
-        self.outer.write_count += n
-        return pas, n
+            self._outer_remaining,
+        ):
+            self.outer.write_count += n
+            yield pas, n
 
     # -------------------------------------------------- fast-forward API
 

@@ -275,6 +275,23 @@ class TestREP306BatchedContractDrift:
         assert [d.code for d in diags] == ["REP306"]
         assert "rng" in diags[0].message.lower()
 
+    def test_chunk_runs_rng_drift_flagged(self):
+        diags = _diags({
+            "src/repro/demo.py": (
+                "from repro.wearlevel.base import WearLeveler\n"
+                "class RunDrift(WearLeveler):\n"
+                "    def translate(self, la: int) -> int:\n"
+                "        return la\n"
+                "    def translate_many(self, las):\n"
+                "        return las\n"
+                "    def chunk_runs(self, las):\n"
+                "        k = int(self.rng.integers(4))\n"
+                "        yield las + k, las.size\n"
+            ),
+        }, "REP306")
+        assert [d.code for d in diags] == ["REP306"]
+        assert "chunk_runs" in diags[0].message
+
     def test_symmetric_rng_use_clean(self):
         diags = _diags({
             "src/repro/demo.py": (

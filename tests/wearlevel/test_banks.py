@@ -1,18 +1,20 @@
 """Region banks: the vector paths against per-region scalar replays.
 
 The vector methods (``pending``/``advance``/``movement_wear``) and the
-shared chunk split must equal what ``k`` scalar ``record_write`` steps per
+shared chunk walk must equal what ``k`` scalar ``record_write`` steps per
 region do — registers, movement counters and, for :class:`SRBank`, the
 generator state, since the analytic tier draws key rotations in one
 batched call.
 """
 
 import copy
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.wearlevel.base import spread_even, spread_exact, split_at_trigger
+from repro.campaign.tasks import build_scheme
+from repro.wearlevel.base import spread_even, spread_exact, walk_windows
 from repro.wearlevel.security_refresh import SRBank
 from repro.wearlevel.startgap import StartGapBank
 
@@ -104,63 +106,153 @@ class TestSRBank:
         np.testing.assert_array_equal(wear, [1.0] * 8 + [0.0] * 8)
 
 
-class TestSplitAtTrigger:
-    """The shared chunk split equals a scalar replay of the same writes."""
+def walk_chunk(bank, twin, chunk, region_of, outer_interval, shift):
+    """Drive :func:`walk_windows` over ``chunk`` like ``write_chunk`` does
+    and check each run against a scalar replay of the same writes on
+    ``twin``.
 
-    @pytest.mark.parametrize(
-        "make_bank",
-        [lambda: StartGapBank(4, 8, 5), lambda: SRBank(4, 8, 5, rng=3)],
-    )
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_scalar_replay(self, make_bank, seed):
+    ``region_of[(la + shift[0]) % size]`` is a write's region (-1: counted
+    by no region); an outer trigger every ``outer_interval`` writes bumps
+    ``shift[0]``, remapping every write's region, like an outer movement.
+    Returns the regions of the inner triggers and the number of outer
+    triggers met as boundary writes.
+    """
+    lines = region_of.size
+    outer = {"bank": 0, "twin": 0}
+
+    def locate(las):
+        return region_of[(las + shift[0]) % lines], las % bank.size
+
+    def translate(regions, locals_):
+        return np.where(regions >= 0, bank.translate_many(regions, locals_), -1)
+
+    def outer_remaining():
+        return outer_interval - outer["bank"] % outer_interval
+
+    def region(la):
+        return int(region_of[(la + shift[0]) % lines])
+
+    inner_fired, outer_fired = [], 0
+    pos = 0
+    for pas, n in walk_windows(
+        bank,
+        chunk,
+        locate,
+        translate,
+        None if outer_interval is None else outer_remaining,
+    ):
+        expected = []
+        for la in chunk[pos : pos + n].tolist():
+            outer["twin"] += 1
+            assert outer_interval is None or outer["twin"] % outer_interval
+            r = region(la)
+            if r >= 0:
+                assert twin.record_write(r) is None
+                assert twin.write_count[r] % twin.remap_interval
+            expected.append(twin.translate(r, la % twin.size) if r >= 0 else -1)
+        np.testing.assert_array_equal(pas, expected)
+        np.testing.assert_array_equal(bank.write_count, twin.write_count)
+        outer["bank"] += n
+        pos += n
+        if pos == chunk.size:
+            continue  # the walk must end here
+        # The boundary write, scalar on both: an outer trigger, an inner
+        # trigger, or both.
+        la = int(chunk[pos])
+        outer["bank"] += 1
+        outer["twin"] += 1
+        fired = outer_interval is not None and outer["bank"] % outer_interval == 0
+        if fired:
+            outer_fired += 1
+            shift[0] += 1
+        r = region(la)
+        if r >= 0:
+            assert (bank.record_write(r) is None) == (twin.record_write(r) is None)
+            if twin.write_count[r] % twin.remap_interval == 0:
+                inner_fired.append(r)
+                fired = True
+        assert fired, "a boundary write must trigger a remap"
+        pos += 1
+    assert pos == chunk.size
+    return inner_fired, outer_fired
+
+
+class TestWalkWindows:
+    """The shared chunk walk equals a scalar replay of the same writes."""
+
+    BANKS = {
+        "start-gap": lambda interval: StartGapBank(4, 8, interval),
+        "sr": lambda interval: SRBank(4, 8, interval, rng=3),
+    }
+
+    def replay(self, kind, interval, outer_interval, seed, n_writes=3000):
         rng = np.random.default_rng(seed)
         n_lines = 40
         # Region of each write; -1 = counted by no region (a spare slot).
         region_of = rng.integers(-1, 4, size=n_lines)
         region_of[:4] = [-1, 0, 1, 2]
-
-        def locate(las):
-            return region_of[las], las % 8
-
-        bank, twin = make_bank(), make_bank()
-        trace = rng.integers(0, n_lines, size=3000)
+        bank, twin = self.BANKS[kind](interval), self.BANKS[kind](interval)
+        trace = rng.integers(0, n_lines, size=n_writes)
+        shift = [0]
+        chunks = []
         pos = 0
         while pos < trace.size:
-            chunk = trace[pos : pos + 64]
-            limit = min(chunk.size, int(rng.integers(0, 70)))
-            pas, n = split_at_trigger(
-                bank,
-                chunk,
-                limit,
-                lambda la: int(region_of[la]),
-                locate,
-                lambda regions, locals_: regions * 100 + locals_,
+            size = int(rng.integers(0, 70))
+            chunk = trace[pos : pos + size]
+            chunks.append(
+                walk_chunk(bank, twin, chunk, region_of, outer_interval, shift)
             )
-            # Scalar replay: the prefix stops before the first write whose
-            # region counter would fire, and never runs past the limit or
-            # the scan-window cap (uncounted writes can exhaust the window).
-            cap = min(limit, int(twin.remaining().sum()))
-            expected = 0
-            while expected < cap:
-                r = int(region_of[chunk[expected]])
-                if r >= 0 and twin.remaining()[r] == 1:
-                    break
-                if r >= 0:
-                    assert twin.record_write(r) is None
-                expected += 1
-            assert n == expected
-            prefix = chunk[:n]
-            np.testing.assert_array_equal(pas, region_of[prefix] * 100 + prefix % 8)
-            np.testing.assert_array_equal(bank.write_count, twin.write_count)
-            pos += n
-            if n == 0 and limit > 0:
-                # The trigger write goes through the scalar path on both.
-                r = int(region_of[trace[pos]])
-                assert r >= 0
-                bank.record_write(r)
-                twin.record_write(r)
-                pos += 1
-        assert bank.write_count.sum() == (region_of[trace] >= 0).sum()
+            pos += chunk.size
+        if kind == "sr":
+            assert bank._rng.bit_generator.state == twin._rng.bit_generator.state
+        for name in SG_REGISTERS if kind == "start-gap" else SR_REGISTERS:
+            np.testing.assert_array_equal(getattr(bank, name), getattr(twin, name))
+        return chunks
+
+    @pytest.mark.parametrize("kind", ["start-gap", "sr"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_scalar_replay(self, kind, seed):
+        chunks = self.replay(kind, 5, None, seed)
+        assert sum(len(inner) for inner, _ in chunks) > 100
+
+    @pytest.mark.parametrize("kind", ["start-gap", "sr"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_outer_limit_shorter_than_chunk(self, kind, seed):
+        chunks = self.replay(kind, 5, 7, seed)
+        # Several windows per chunk: outer triggers land inside chunks.
+        assert max(outer for _, outer in chunks) >= 5
+
+    @pytest.mark.parametrize("kind", ["start-gap", "sr"])
+    def test_several_triggers_of_one_region_in_a_window(self, kind):
+        chunks = self.replay(kind, 2, None, 2)
+        assert max(
+            max(np.bincount(inner, minlength=4)) for inner, _ in chunks if inner
+        ) >= 5
+
+
+@pytest.mark.parametrize(
+    "name", ["rbsg", "multiway-sr", "two-level-sr", "security-rbsg", "start-gap"]
+)
+def test_consume_chunk_is_the_first_run(name):
+    """``consume_chunk`` yields ``chunk_runs``' first run and leaves the
+    scheme in the same state, including right before a trigger (n == 0)."""
+    scheme = build_scheme(name, 64, 5, {"interval": 3, "regions": 4})
+    rng = np.random.default_rng(5)
+    seen_empty = False
+    for _ in range(200):
+        las = rng.integers(0, 64, size=int(rng.integers(0, 12)))
+        twin = copy.deepcopy(scheme)
+        pas, n = scheme.consume_chunk(las)
+        runs = twin.chunk_runs(las)
+        first = next(runs, (np.empty(0, dtype=np.int64), 0))
+        runs.close()
+        assert n == first[1]
+        np.testing.assert_array_equal(pas, first[0])
+        assert pickle.dumps(scheme) == pickle.dumps(twin)
+        seen_empty |= n == 0 and las.size > 0
+        if n < las.size:  # the boundary write, scalar, as the controller does
+            scheme.record_write(int(las[n]))
+    assert seen_empty
 
 
 def test_spread_even_matches_spread_exact_per_region():

@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-fast bench-ff examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
+.PHONY: install test bench bench-fast bench-ff bench-outputs examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -23,6 +23,19 @@ bench-fast:
 bench-ff:
 	PYTHONPATH=src python -m pytest benchmarks/test_fastforward_throughput.py -q -s
 	@test -s BENCH_10.json && echo "bench-ff: OK"
+
+# Bit-identity fingerprint of the benchmark: the `outputs (seed S)` line
+# (wear_sha256 included) of every BENCHMARK.json workload at seeds 7 and 8.
+# Run it on two commits and `diff` the two build/bench-outputs.txt files.
+BENCH_WORKLOADS = $(shell python3 -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+
+bench-outputs:
+	@mkdir -p build
+	@for seed in 7 8; do for w in $(BENCH_WORKLOADS); do \
+		python3 bench/run.py --workload $$w --seed $$seed --seconds 1 \
+			| grep '^outputs (seed' | sed "s/^/$$w /" || exit 1; \
+	done; done > build/bench-outputs.txt
+	@echo "bench-outputs: wrote build/bench-outputs.txt"
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done

@@ -12,9 +12,11 @@ Two tiers are recorded into ``BENCH_10.json`` at the repo root:
 
 * ``lifetime_256k`` — 2^18 lines, reduced endurance 10^6: the acceptance
   gate (>= 50x over the chunk engine, usually >> 1000x).
-* ``smoke_8m`` — 2^23 lines (paper scale), endurance 10^5: proves a
-  paper-sized device simulates to failure in one benchmark sitting; the
-  full E=10^8 run is the ``repro lifetime --paper-scale`` preset.
+* ``smoke_8m`` — 2^23 lines, endurance 10^5: twice the paper's 2^22-line
+  device, at an odd address width, so the cycle-walked Feistel path runs;
+  proves a device past paper size simulates to failure in one benchmark
+  sitting.  The full E=10^8 run at the paper's size is the
+  ``repro lifetime --paper-scale`` preset.
 
 ``make bench-ff`` refreshes the JSON; the committed copy documents the
 reference machine.

@@ -410,7 +410,7 @@ def run_lifetime_ff_task(
             f"unknown trace kind {trace_name!r}; expected one of "
             f"{sorted(TRACE_KINDS)}"
         )
-    n_lines = _int(params, "lines", 1 << 23)
+    n_lines = _int(params, "lines", PAPER_PCM.n_lines)
     endurance = _float(params, "endurance", 1e8)
     max_writes = params.get("max_writes")
     mode = str(params.get("fast_forward", "auto"))

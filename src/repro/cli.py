@@ -156,7 +156,7 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
 def _lifetime_paper_scale(args: argparse.Namespace) -> int:
     """``repro lifetime --paper-scale``: measured, not modelled.
 
-    Drives the requested scheme at the paper's device scale (2^23 lines,
+    Drives the requested scheme at the paper's device scale (2^22 lines,
     E = 1e8, a spare pool) on the analytic fast-forward engine, through
     the same ``lifetime-ff`` task the distributed campaign runner uses —
     one box, minutes instead of the chunk engine's hours.
@@ -811,8 +811,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default="uniform",
                    choices=["uniform", "zipf", "sequential", "raa"],
                    help="[--paper-scale] workload distribution")
-    p.add_argument("--lines", type=int, default=1 << 23,
-                   help="[--paper-scale] device lines (default 2^23)")
+    p.add_argument("--lines", type=int, default=PAPER_PCM.n_lines,
+                   help="[--paper-scale] device lines (default 2^22, the "
+                        "paper's 1 GB bank of 256 B lines)")
     p.add_argument("--endurance", type=float, default=1e8,
                    help="[--paper-scale] per-line endurance (default 1e8)")
     p.add_argument("--spares", type=int, default=64,

@@ -131,6 +131,17 @@ class DynamicFeistelMapper:
             self.feistel_p.key_column,
         )
         out = self.feistel_c.encrypt_keyed(las, keys).astype(np.int64)
+        return self._patched(las, out)
+
+    def select(
+        self, las: np.ndarray, under_c: np.ndarray, under_p: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`translate_many` from the lines' encryptions under ``Kc``
+        (``under_c``) and ``Kp`` (``under_p``), computed by the caller."""
+        return self._patched(las, np.where(self.is_remapped[las], under_c, under_p))
+
+    def _patched(self, las: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` with the parked and displaced lines' registers applied."""
         if self.parked_la is not None:
             out[las == self.parked_la] = self.spare_slot
         if self.displaced_la is not None:

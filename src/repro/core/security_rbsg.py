@@ -35,9 +35,11 @@ from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     CopyMove,
     Move,
+    OuterLevel,
     RoundProfile,
     SwapMove,
     WearLeveler,
+    Window,
     spread_exact,
     walk_windows,
 )
@@ -122,22 +124,9 @@ class SecurityRBSG(WearLeveler):
         # Outer level: one DFN movement per outer_interval bank writes.
         self.outer_write_count += 1
         if self.outer_write_count % self.outer_interval == 0:
-            step = self.outer.step()
-            if isinstance(step, CopyMove):
-                moves.append(
-                    CopyMove(
-                        src=self._phys_of_ia(step.src),
-                        dst=self._phys_of_ia(step.dst),
-                    )
-                )
-            elif isinstance(step, SwapMove):
-                moves.append(
-                    SwapMove(
-                        pa_a=self._phys_of_ia(step.pa_a),
-                        pa_b=self._phys_of_ia(step.pa_b),
-                    )
-                )
-            # None = fixed-point remap: no data movement needed.
+            step = self._outer_step()
+            if step is not None:  # None = fixed-point remap: nothing moves
+                moves.append(step)
         # Inner level: count the write in the sub-region it lands in
         # (under the post-movement outer mapping).
         region = self.subregion_of_la(la)
@@ -147,11 +136,26 @@ class SecurityRBSG(WearLeveler):
                 moves.append(inner_move)
         return moves
 
+    def _outer_step(self) -> Optional[Move]:
+        """One DFN movement, from IA slots to the lines they occupy."""
+        step = self.outer.step()
+        if isinstance(step, CopyMove):
+            return CopyMove(
+                src=self._phys_of_ia(step.src), dst=self._phys_of_ia(step.dst)
+            )
+        if isinstance(step, SwapMove):
+            return SwapMove(
+                pa_a=self._phys_of_ia(step.pa_a), pa_b=self._phys_of_ia(step.pa_b)
+            )
+        return None
+
     # ------------------------------------------------------- batched API
 
     def _locate(self, las: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Sub-region and region-local IA of each write (spare slot: -1)."""
-        ias = self.outer.translate_many(las)
+        return self._locate_ias(self.outer.translate_many(las))
+
+    def _locate_ias(self, ias: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         regions, locals_ = np.divmod(ias, self.subregion_size)
         regions[ias == self.outer.spare_slot] = -1
         return regions, locals_
@@ -168,25 +172,51 @@ class SecurityRBSG(WearLeveler):
             *self._locate(np.asarray(las, dtype=np.int64))
         )
 
-    def _outer_remaining(self) -> int:
-        return self.outer_interval - self.outer_write_count % self.outer_interval
+    def _count_outer(self, writes: int) -> None:
+        self.outer_write_count += writes
 
-    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
-        """Windows end at the outer DFN movement; every write counts there.
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """Windows start at the outer DFN movement; every write counts there.
 
-        Writes landing on the outer spare slot advance no inner counter —
-        exactly as :meth:`record_write` skips them — so they carry region
-        -1 through :func:`~repro.wearlevel.base.walk_windows`.
+        Between key rotations a line's IA is its encryption under ``Kc``
+        or ``Kp``, picked by its ``isRemap`` bit, plus the parked and
+        displaced patches.  So the rest of the chunk is encrypted once per
+        key pair (a rotation makes the old ``Kc`` pass the new ``Kp``
+        pass), and each window only picks.  Writes landing on the outer
+        spare slot advance no inner counter — exactly as
+        :meth:`record_write` skips them — so they carry region -1 through
+        :func:`~repro.wearlevel.base.walk_windows`.
         """
-        for pas, n in walk_windows(
-            self.inners,
-            las,
-            self._locate,
-            self._phys_of_located,
-            self._outer_remaining,
-        ):
-            self.outer_write_count += n
-            yield pas, n
+        mapper = self.outer
+        keyed: List = [None, 0, None, None]  # Kc, offset, under Kc, under Kp
+
+        def locate(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+            feistel, off, under_c, under_p = keyed
+            if feistel is not mapper.feistel_c:  # chunk start or key rotation
+                rest = las[lo:]
+                if mapper.feistel_p is feistel:
+                    under_p = under_c[lo - off :]
+                under_c = mapper.feistel_c.encrypt(rest).astype(np.int64)
+                if mapper.feistel_p is mapper.feistel_c:
+                    under_p = under_c
+                elif mapper.feistel_p is not feistel:
+                    under_p = mapper.feistel_p.encrypt(rest).astype(np.int64)
+                off = lo
+                keyed[:] = [mapper.feistel_c, off, under_c, under_p]
+            window = slice(lo - off, hi - off)
+            return self._locate_ias(
+                mapper.select(las[lo:hi], under_c[window], under_p[window])
+            )
+
+        outer = OuterLevel(
+            self.outer_interval,
+            lambda: self.outer_write_count,
+            self._outer_step,
+            self._count_outer,
+        )
+        return walk_windows(
+            self.inners, las, locate, outer, spare_pa=self._outer_spare_pa
+        )
 
     # -------------------------------------------------- fast-forward API
 

@@ -122,6 +122,7 @@ _MAPPER_SIGS: Dict[str, DomainSig] = {
 _PCM_SIGS: Dict[str, DomainSig] = {
     "write": DomainSig((PA, None), None),
     "write_many": DomainSig((PA, None), None),
+    "write_events": DomainSig((PA, None, None), None),
     "read": DomainSig((PA,), None),
     "read_with_latency": DomainSig((PA,), None),
     "bulk_wear": DomainSig((PA,), None),

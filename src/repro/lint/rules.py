@@ -131,7 +131,7 @@ class UnseededRandomness(Rule):
 class DiscardedLatency(Rule):
     """No discarded latency on the attacker-observable write path.
 
-    ``PCMArray.write/copy/swap/write_many/read_with_latency``,
+    ``PCMArray.write/copy/swap/write_many/write_events/read_with_latency``,
     ``MemoryController.write/write_chunk`` and scheme ``remap`` hooks
     *return* the operation's latency in nanoseconds — the paper's timing
     side channel.  The batched drivers are sinks of the same kind:
@@ -153,7 +153,8 @@ class DiscardedLatency(Rule):
     _LATENCY_METHODS = frozenset(
         {
             "write", "copy", "swap", "read_with_latency", "remap",
-            "write_many", "write_chunk", "apply_round", "apply_wear_bulk",
+            "write_many", "write_events", "write_chunk", "apply_round",
+            "apply_wear_bulk",
         }
     )
     #: Module-level latency-carrying functions, recognised whether called

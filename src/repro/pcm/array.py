@@ -33,24 +33,26 @@ import numpy as np
 
 from repro.config import PCMConfig
 from repro.pcm.ecc import ECPModel
+from repro.pcm.events import EventPlan
 from repro.pcm.faults import FaultModel
 from repro.pcm.timing import LineData, TimingModel
 from repro.util.rng import SeedLike, as_generator
+from repro.wearlevel.base import NO_MOVES, Moves
 
 
 class LineFailure(Exception):
     """Raised when a write lands on a line whose endurance is exhausted.
 
-    When the failing write was part of a :meth:`PCMArray.write_many`
-    chunk, :attr:`chunk_index` carries its position within the chunk so
-    the batched engine can attribute user-write counts exactly as the
-    scalar engine would;
+    When the failing write was part of a :meth:`OrderedWrites.write_events`
+    (or ``write_many``) list, :attr:`chunk_index` carries the position of
+    the user write it belongs to — the write itself, or the write whose
+    remap movement failed — so the batched engine can attribute
+    user-write counts exactly as the scalar engine would;
     :meth:`~repro.sim.memory_system.MemoryController.write_chunk` turns
-    it into the position in its own chunk, which also covers a remap
-    boundary write and its movements.
+    it into the position in its own chunk.
     """
 
-    #: Index of the failing write within its ``write_many`` or
+    #: Index of the failing event's user write within its list or
     #: ``write_chunk`` chunk (None for a bare scalar write).
     chunk_index: Optional[int] = None
 
@@ -87,7 +89,174 @@ class UncorrectableError(LineFailure):
         self.n_errors = n_errors
 
 
-class PCMArray:
+class OrderedWrites:
+    """``write_many`` and ``write_events`` over a few storage primitives.
+
+    Shared by :class:`PCMArray` and
+    :class:`~repro.pcm.sharded.ShardedPCMArray`, which supply the gathers
+    ``_data_of``/``_wear_of``/``_limit_of``, the bulk store ``_store``
+    and the scalar ``write``/``copy``/``swap``.  See
+    :mod:`repro.pcm.events` for the event-list model.
+    """
+
+    config: PCMConfig
+    timing: TimingModel
+    faults: Optional[FaultModel]
+    elapsed_ns: float
+    total_writes: int
+    _first_failure: Optional[LineFailure]
+
+    def _data_of(self, pas: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _wear_of(self, pas: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _limit_of(self, pas: np.ndarray) -> Union[float, np.ndarray]:
+        raise NotImplementedError
+
+    def _store(self, wear_pas: np.ndarray, pas: np.ndarray, datas: np.ndarray) -> None:
+        """Wear one write per entry of ``wear_pas`` (duplicates add up) and
+        store ``datas`` at ``pas`` in order (a repeated pa keeps its last)."""
+        raise NotImplementedError
+
+    def write(self, pa: int, data: LineData) -> float:
+        raise NotImplementedError
+
+    def copy(self, src: int, dst: int) -> float:
+        raise NotImplementedError
+
+    def swap(self, pa_a: int, pa_b: int) -> float:
+        raise NotImplementedError
+
+    def write_many(self, pas: np.ndarray, datas: np.ndarray) -> float:
+        """Write a chunk of lines; return the chunk's total latency in ns.
+
+        :meth:`write_events` without movements: bit-identical to calling
+        :meth:`write` once per element, duplicate ``pas`` included (wear
+        accumulates per occurrence, differential-write transitions chain
+        through the chunk, the last write wins for stored data).
+        """
+        return self.write_events(pas, datas)
+
+    def write_events(
+        self, pas: np.ndarray, datas: np.ndarray, moves: Moves = NO_MOVES
+    ) -> float:
+        """Apply user writes and the remap movements between them in order.
+
+        ``moves = (at, swap, a, b)``: movement ``m`` runs just before user
+        write ``at[m]``, a swap of lines ``a[m]`` and ``b[m]`` when
+        ``swap[m]``, else a copy of line ``a[m]`` to line ``b[m]``
+        (:mod:`repro.pcm.events`).  Bit-identical to the scalar
+        :meth:`write`/:meth:`copy`/:meth:`swap` calls in that order; returns
+        their total latency in ns (latencies are integer-valued ns, so the
+        float sum is exact in any order).
+
+        The first line write that reaches its endurance is found from a
+        running count per line.  The events before it are applied in bulk
+        and its event through the scalar method, so the
+        :class:`LineFailure` holds the scalar path's wear, ``total_writes``
+        and ``elapsed_ns`` (a failing movement's latency included), and
+        its ``chunk_index`` is the user write the event belongs to.  With
+        ``raise_on_failure`` off the events after it follow in bulk.
+        Under fault injection, and for a single user write with its
+        movements, the list replays through the scalar methods.
+        ``pas`` and ``datas`` of different lengths raise ``ValueError``
+        before any state changes.
+        """
+        pas = np.ascontiguousarray(pas, dtype=np.int64)
+        datas = np.ascontiguousarray(datas, dtype=np.int8)
+        n = int(pas.size)
+        if datas.size != n:
+            raise ValueError(
+                f"chunk has {n} addresses but {datas.size} data values"
+            )
+        at = moves[0]
+        if n + int(at.size) == 0:
+            return 0.0
+        if self.faults is not None or n == 1:
+            # Fault draws must happen per write, in order; and one write
+            # with its movements costs less through the scalar calls.
+            return self._replay(pas, datas, moves)
+        plan = EventPlan(self, pas, datas, moves)
+        wear_pas = plan.wear_pas()
+        # Cheap screen: even if every write landed on the most worn line
+        # touched, could anything fail?  Only then pay for the ordered test.
+        check = False
+        if self._first_failure is None:
+            limit = self._limit_of(wear_pas)
+            low = float(limit.min()) if isinstance(limit, np.ndarray) else limit
+            check = int(self._wear_of(wear_pas).max()) + int(wear_pas.size) >= low
+        if not (check or self.config.differential_writes):
+            table = self.timing.latency_table
+            ns = float(table[datas].sum())
+            if plan.move_dst.size:
+                ns += float(table[plan.move_value].sum())
+                ns += plan.move_dst.size * self.timing.read_latency()
+            self.elapsed_ns += ns
+            lines, values = plan.final
+            if lines:
+                pas = np.concatenate((pas, lines))
+                datas = np.concatenate((datas, np.array(values, dtype=np.int8)))
+            self._store(wear_pas, pas, datas)
+            self.total_writes += int(wear_pas.size)
+            return ns
+        plan.lines()
+        stop = plan.first_failure() if check else None
+        if stop is None:
+            return self._apply(plan, 0, plan.size)
+        lo, hi, event, owner = stop
+        latency = self._apply(plan, 0, lo)
+        try:
+            latency += self._scalar_event(*event)
+        except LineFailure as failure:
+            failure.chunk_index = owner
+            raise
+        return latency + self._apply(plan, hi, plan.size)
+
+    def _apply(self, plan: EventPlan, lo: int, hi: int) -> float:
+        """Line writes ``[lo, hi)`` of a flattened ``plan``, with their
+        events' reads."""
+        if hi <= lo:
+            return 0.0
+        part = slice(lo, hi)
+        reads = plan.reads_between(lo, hi)
+        ns = float(np.sum(plan.latency[part])) + reads * self.timing.read_latency()
+        self.elapsed_ns += ns
+        dst = plan.dst[part]
+        wear_pas = dst if plan.wears is None else dst[plan.wears[part]]
+        self._store(wear_pas, dst, plan.value[part])
+        self.total_writes += int(wear_pas.size)
+        return ns
+
+    def _scalar_event(self, kind: str, x: int, y: int) -> float:
+        if kind == "write":
+            return self.write(x, LineData(y))
+        if kind == "copy":
+            return self.copy(x, y)
+        return self.swap(x, y)
+
+    def _replay(self, pas: np.ndarray, datas: np.ndarray, moves: Moves) -> float:
+        """Scalar replay of an event list; tags failures with the index of
+        the user write their event belongs to."""
+        at, swap, a, b = (column.tolist() for column in moves)
+        latency = 0.0
+        m = 0
+        for i in range(pas.size):
+            try:
+                while m < len(at) and at[m] <= i:
+                    kind = "swap" if swap[m] else "copy"
+                    latency += self._scalar_event(kind, a[m], b[m])
+                    m += 1
+                latency += self.write(int(pas[i]), LineData(int(datas[i])))
+            except LineFailure as failure:
+                if failure.chunk_index is None:
+                    failure.chunk_index = i
+                raise
+        return latency
+
+
+class PCMArray(OrderedWrites):
     """A bank of ``n_physical`` wear-limited lines.
 
     Parameters
@@ -320,112 +489,22 @@ class PCMArray:
 
     # ------------------------------------------------------- batched I/O
 
-    def write_many(self, pas: np.ndarray, datas: np.ndarray) -> float:
-        """Write a chunk of lines; return the chunk's total latency in ns.
+    def _data_of(self, pas: np.ndarray) -> np.ndarray:
+        return self.data[pas]
 
-        Bit-identical to calling :meth:`write` once per element: the same
-        ``elapsed_ns`` (latencies are integer-valued ns, so the float sum
-        is exact), the same per-line ``wear``/``total_writes``, and —
-        when a write exhausts a line — a :class:`LineFailure` for the
-        *earliest* failing write with the exact scalar-path state at that
-        point (its :attr:`LineFailure.chunk_index` is set so callers can
-        attribute partial progress).
+    def _wear_of(self, pas: np.ndarray) -> np.ndarray:
+        return self.wear[pas]
 
-        Fast-path preconditions checked here, not by the caller:
+    def _limit_of(self, pas: np.ndarray) -> Union[float, np.ndarray]:
+        if self.endurance_map is None:
+            return self.config.endurance
+        return self.endurance_map[pas]
 
-        * fault injection armed ⇒ per-write scalar fallback (retry loops
-          and stuck-cell accounting stay exact);
-        * a possible endurance failure inside the chunk ⇒ scalar replay
-          of the whole chunk (no state was mutated yet, so the replay is
-          the scalar path verbatim).
-
-        Duplicate ``pas`` are handled exactly: wear accumulates per
-        occurrence (``np.add.at``), differential-write transitions chain
-        through the chunk, and the last write wins for stored data.
-        """
-        pas = np.ascontiguousarray(pas, dtype=np.int64)
-        datas = np.ascontiguousarray(datas, dtype=np.int8)
-        n = int(pas.size)
-        if datas.size != n:
-            raise ValueError(
-                f"chunk has {n} addresses but {datas.size} data values"
-            )
-        if n == 0:
-            return 0.0
-        if self.faults is not None:
-            return self._write_many_scalar(pas, datas)
-        if self.config.differential_writes:
-            old = self._chunk_old_data(pas, datas)
-            lat = self.timing.transition_latency_table[old, datas]
-            wears = self.timing.transition_wears_table[old, datas]
-            wear_pas = pas[wears]
-            n_wearing = int(wear_pas.size)
-        else:
-            lat = self.timing.latency_table[datas]
-            wear_pas = pas
-            n_wearing = n
-        if self._first_failure is None and n_wearing:
-            # Cheap screen first: even if every wearing write of the
-            # chunk landed on the single most-worn line touched, could
-            # anything fail?  Only then pay for the exact per-line test.
-            touched_wear = self.wear[wear_pas]
-            if self.endurance_map is None:
-                limit_min: float = self.config.endurance
-            else:
-                limit_min = float(self.endurance_map[wear_pas].min())
-            if int(touched_wear.max()) + n_wearing >= limit_min:
-                unique, counts = np.unique(wear_pas, return_counts=True)
-                if self.endurance_map is None:
-                    limit: Union[float, np.ndarray] = self.config.endurance
-                else:
-                    limit = self.endurance_map[unique]
-                if bool(np.any(self.wear[unique] + counts >= limit)):
-                    # Someone fails by the end of this chunk; replay it
-                    # scalar so the failure snapshot (wear, total_writes,
-                    # elapsed_ns at the failing write) matches exactly.
-                    return self._write_many_scalar(pas, datas)
-        chunk_ns = float(np.sum(lat))
-        self.elapsed_ns += chunk_ns
-        if n_wearing:
-            np.add.at(self.wear, wear_pas, 1)
-            self.total_writes += n_wearing
-        # Last write wins per pa: numpy fancy-index assignment stores
-        # values in index order, so a repeated pa ends up holding its
-        # chronologically last value (the equivalence suite pins this).
+    def _store(self, wear_pas: np.ndarray, pas: np.ndarray, datas: np.ndarray) -> None:
+        np.add.at(self.wear, wear_pas, 1)
+        # numpy fancy-index assignment stores values in index order, so a
+        # repeated pa ends up holding its chronologically last value.
         self.data[pas] = datas
-        return chunk_ns
-
-    def _write_many_scalar(self, pas: np.ndarray, datas: np.ndarray) -> float:
-        """Scalar fallback of :meth:`write_many`; tags failure positions."""
-        latency = 0.0
-        for i in range(pas.size):
-            try:
-                latency += self.write(int(pas[i]), LineData(int(datas[i])))
-            except LineFailure as failure:
-                if failure.chunk_index is None:
-                    failure.chunk_index = i
-                raise
-        return latency
-
-    def _chunk_old_data(self, pas: np.ndarray, datas: np.ndarray) -> np.ndarray:
-        """Per-write *old* latency class, honouring intra-chunk rewrites.
-
-        The first write to a pa within the chunk reads the array state;
-        every repeat reads whatever the chunk itself last wrote there.
-        """
-        n = int(pas.size)
-        order = np.argsort(pas, kind="stable")
-        sorted_pas = pas[order]
-        sorted_datas = datas[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = sorted_pas[1:] != sorted_pas[:-1]
-        old_sorted = np.empty(n, dtype=np.int8)
-        old_sorted[first] = self.data[sorted_pas[first]]
-        repeats = np.nonzero(~first)[0]
-        old_sorted[repeats] = sorted_datas[repeats - 1]
-        old = np.empty(n, dtype=np.int8)
-        old[order] = old_sorted
-        return old
 
     # ---------------------------------------------------- verify / faults
 

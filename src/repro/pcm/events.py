@@ -1,0 +1,197 @@
+"""Ordered event lists: user writes and remap movements as line writes.
+
+The chunk engine hands the array a *window* of the trace: ``n`` user writes
+plus the remap movements their scheme triggered, in the order the scalar
+controller would execute them (:data:`~repro.wearlevel.base.Moves`:
+movement ``m`` runs just before user write ``at[m]``).
+
+A movement is its reads plus line writes whose data is the source line's
+content *at the movement's position* in the list: a copy is one line write
+``b <- a``, a swap two, ``a <- b`` then ``b <- a``, both reading the state
+before the swap.  :class:`EventPlan` resolves that data once per movement,
+through the last earlier write to the source line (a user write, found
+among the few user writes to lines the movements touch, or an earlier
+movement), else the array's stored content.  Movements are few per
+window, so this is a short loop.
+
+Wear counts and the latency sum do not depend on the order of the writes
+(latencies are integer-valued ns, so the float sum is exact in any order),
+and stored data only needs each line's last write.  So a window that cannot
+fail is applied without ever interleaving the two lists.  When a failure is
+possible, or differential writes make latency depend on the data each
+write overwrites, :meth:`EventPlan.lines` flattens the list into its line
+writes in execution order: the old data of each comes from the previous
+write to its line, and a running count per line finds the first line write
+that reaches its endurance (:meth:`EventPlan.first_failure`).
+
+:class:`~repro.pcm.array.OrderedWrites` applies a plan to either array.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+
+import numpy as np
+
+from repro.wearlevel.base import Moves, grouped_cumcount
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.pcm.array import OrderedWrites
+
+#: The scalar call that replays one event: ``(kind, x, y)``.
+Event = Tuple[str, int, int]
+
+
+class EventPlan:
+    """An event list with its movement data resolved.
+
+    ``move_dst``/``move_value`` hold the movements' line writes in order
+    (destination line and the data it receives), ``final`` the movement
+    writes that are their line's last write in the list.  Reads the array
+    but changes nothing.
+    """
+
+    def __init__(
+        self, array: "OrderedWrites", pas: np.ndarray, datas: np.ndarray, moves: Moves
+    ) -> None:
+        self.array = array
+        self.pas, self.datas, self.moves = pas, datas, moves
+        self.move_dst = np.empty(0, dtype=np.int64)
+        self.move_value = np.empty(0, dtype=np.int8)
+        self.final: Tuple[List[int], List[int]] = ([], [])
+        if moves[0].size:
+            self._resolve()
+
+    def _resolve(self) -> None:
+        at, swap, a, b = (column.tolist() for column in self.moves)
+        n = int(self.pas.size)
+        # The lines the movements touch: their stored data, and the user
+        # writes to them (few or none).
+        touched = sorted(set(a) | set(b))
+        lines = np.array(touched, dtype=np.int64)
+        stored = dict(zip(touched, self.array._data_of(lines).tolist()))
+        slot = np.minimum(np.searchsorted(lines, self.pas), lines.size - 1)
+        writes: Dict[int, List[int]] = {}  # line -> its user writes, in order
+        for i in np.flatnonzero(lines[slot] == self.pas).tolist():
+            writes.setdefault(int(self.pas[i]), []).append(i)
+
+        def last_user(line: int, before: int) -> int:
+            """Last user write to ``line`` before user write ``before``."""
+            mine = writes.get(line, [])
+            j = bisect_left(mine, before) - 1
+            return mine[j] if j >= 0 else -1
+
+        moved: Dict[int, Tuple[int, int]] = {}  # line -> (data, at) of its last movement
+
+        def read(line: int, before: int) -> int:
+            user = last_user(line, before)
+            last = moved.get(line)
+            if last is not None and user < last[1]:
+                return last[0]
+            return int(self.datas[user]) if user >= 0 else stored[line]
+
+        dst: List[int] = []
+        value: List[int] = []
+        for m, p in enumerate(at):
+            pairs = [(a[m], b[m]), (b[m], a[m])] if swap[m] else [(b[m], a[m])]
+            got = [read(src, p) for _, src in pairs]
+            for (line, _), data in zip(pairs, got):
+                moved[line] = (data, p)
+                dst.append(line)
+                value.append(data)
+        self.move_dst = np.array(dst, dtype=np.int64)
+        self.move_value = np.array(value, dtype=np.int8)
+        for line, (data, p) in moved.items():
+            if last_user(line, n) < p:
+                self.final[0].append(line)
+                self.final[1].append(data)
+
+    def wear_pas(self) -> np.ndarray:
+        """Every line write's destination, in no particular order."""
+        if not self.move_dst.size:
+            return self.pas
+        return np.concatenate((self.pas, self.move_dst))
+
+    # ------------------------------------------------- flattened in order
+
+    def lines(self) -> None:
+        """Flatten the list into its line writes in execution order.
+
+        Sets ``size`` (line writes ``K``), ``dst``/``value``/``latency``
+        and ``wears`` (``None``: every write wears) per line write, and the
+        line-write index of each user write and movement.
+        """
+        array = self.array
+        timing = array.timing
+        at, swap = self.moves[0], self.moves[1]
+        n = int(self.pas.size)
+        widths = np.concatenate(([0], np.cumsum(1 + swap)))
+        before = np.searchsorted(at, np.arange(n), side="right")
+        self.user_line = np.arange(n) + widths[before]
+        self.move_line = at + widths[:-1]
+        self.size = n + int(widths[-1])
+        self.dst = np.empty(self.size, dtype=np.int64)
+        self.value = np.empty(self.size, dtype=np.int8)
+        self.dst[self.user_line] = self.pas
+        self.value[self.user_line] = self.datas
+        moved = np.ones(self.size, dtype=bool)
+        moved[self.user_line] = False
+        self.dst[moved] = self.move_dst
+        self.value[moved] = self.move_value
+        if array.config.differential_writes:
+            old = self._old_data()
+            self.latency = timing.transition_latency_table[old, self.value]
+            self.wears: Optional[np.ndarray] = timing.transition_wears_table[
+                old, self.value
+            ]
+        else:
+            self.latency = timing.latency_table[self.value]
+            self.wears = None
+
+    def _old_data(self) -> np.ndarray:
+        """Content each line write overwrites, honouring earlier writes."""
+        order = np.argsort(self.dst, kind="stable")
+        sorted_dst = self.dst[order]
+        first = np.ones(self.size, dtype=bool)
+        first[1:] = sorted_dst[1:] != sorted_dst[:-1]
+        old_sorted = np.empty(self.size, dtype=np.int8)
+        old_sorted[first] = self.array._data_of(sorted_dst[first])
+        repeats = np.flatnonzero(~first)
+        old_sorted[repeats] = self.value[order[repeats - 1]]
+        old = np.empty(self.size, dtype=np.int8)
+        old[order] = old_sorted
+        return old
+
+    def reads_between(self, lo: int, hi: int) -> int:
+        """Line reads of the movements whose writes start in ``[lo, hi)``:
+        one per copy, two per swap.  Needs :meth:`lines`."""
+        first, last = np.searchsorted(self.move_line, (lo, hi))
+        return int(last - first) + int(np.count_nonzero(self.moves[1][first:last]))
+
+    def first_failure(self) -> Optional[Tuple[int, int, Event, int]]:
+        """The event holding the first line write that wears its line out.
+
+        Returns ``(lo, hi, event, owner)``: its line writes ``[lo, hi)``,
+        the scalar call that replays it, and the user write it belongs to.
+        ``None`` when the list completes.  Needs :meth:`lines`.
+        """
+        array = self.array
+        wearing = (
+            np.arange(self.size) if self.wears is None else np.flatnonzero(self.wears)
+        )
+        lines = self.dst[wearing]
+        count = array._wear_of(lines) + grouped_cumcount(lines) + 1
+        reached = count >= array._limit_of(lines)
+        if not reached.any():
+            return None
+        k = int(wearing[int(np.argmax(reached))])
+        owner = int(np.searchsorted(self.user_line, k))
+        if owner < self.pas.size and int(self.user_line[owner]) == k:
+            event = ("write", int(self.pas[owner]), int(self.datas[owner]))
+            return k, k + 1, event, owner
+        at, swap, a, b = self.moves
+        m = int(np.searchsorted(self.move_line, k, side="right")) - 1
+        lo = int(self.move_line[m])
+        kind = "swap" if swap[m] else "copy"
+        return lo, lo + 1 + int(swap[m]), (kind, int(a[m]), int(b[m])), int(at[m])

@@ -16,10 +16,11 @@ not a subclass, because almost every hot method needs a different body and
 inheriting would silently fall back to monolithic state.  Everything the
 simulation engines and the sparing layer touch is implemented with identical
 semantics: scalar ``write``/``copy``/``swap``/``read``, the chunk-exact
-``write_many`` (including the whole-chunk scalar replay near end-of-life so
-:class:`~repro.pcm.array.LineFailure.chunk_index` attribution is exact), the
-fast-forward commit point ``apply_wear_bulk`` (all-or-nothing *across*
-banks), ``bulk_wear``, ``fill_data`` and ``add_lines``.
+``write_many``/``write_events`` (shared with the monolithic array through
+:class:`~repro.pcm.array.OrderedWrites`, over this class's gathers and bulk
+store, so :class:`~repro.pcm.array.LineFailure.chunk_index` attribution is
+exact), the fast-forward commit point ``apply_wear_bulk`` (all-or-nothing
+*across* banks), ``bulk_wear``, ``fill_data`` and ``add_lines``.
 
 Deviations, all explicit:
 
@@ -51,11 +52,11 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import PCMConfig
-from repro.pcm.array import LineFailure
+from repro.pcm.array import LineFailure, OrderedWrites
 from repro.pcm.timing import LineData, TimingModel
 
 
-class ShardedPCMArray:
+class ShardedPCMArray(OrderedWrites):
     """A bank-sharded, optionally memmap-backed PCM line array.
 
     Parameters
@@ -325,89 +326,26 @@ class ShardedPCMArray:
 
     # ------------------------------------------------------- batched I/O
 
-    def write_many(self, pas: np.ndarray, datas: np.ndarray) -> float:
-        """Chunked writes, bit-identical to per-element :meth:`write` calls.
+    def _data_of(self, pas: np.ndarray) -> np.ndarray:
+        return self._gather(self._data, pas)
 
-        Same guarantees as :meth:`repro.pcm.array.PCMArray.write_many`: a
-        chunk that might contain an endurance failure replays scalar in
-        original order (no state was mutated yet), so the raised
-        :class:`~repro.pcm.array.LineFailure` carries the exact per-write
-        snapshot and ``chunk_index`` even when the failing line and its
-        neighbours live in different banks.
-        """
-        pas = np.ascontiguousarray(pas, dtype=np.int64)
-        datas = np.ascontiguousarray(datas, dtype=np.int8)
-        n = int(pas.size)
-        if datas.size != n:
-            raise ValueError(
-                f"chunk has {n} addresses but {datas.size} data values"
-            )
-        if n == 0:
-            return 0.0
-        if self.config.differential_writes:
-            old = self._chunk_old_data(pas, datas)
-            lat = self.timing.transition_latency_table[old, datas]
-            wears = self.timing.transition_wears_table[old, datas]
-            wear_pas = pas[wears]
-            n_wearing = int(wear_pas.size)
-        else:
-            lat = self.timing.latency_table[datas]
-            wear_pas = pas
-            n_wearing = n
-        if self._first_failure is None and n_wearing:
-            touched_wear = self._gather_wear(wear_pas)
-            if int(touched_wear.max()) + n_wearing >= self.config.endurance:
-                unique, counts = np.unique(wear_pas, return_counts=True)
-                if bool(
-                    np.any(
-                        self._gather_wear(unique) + counts
-                        >= self.config.endurance
-                    )
-                ):
-                    return self._write_many_scalar(pas, datas)
-        chunk_ns = float(np.sum(lat))
-        self.elapsed_ns += chunk_ns
-        if n_wearing:
-            banks, locals_ = self._locate_many(wear_pas)
-            for b in np.unique(banks):
-                mask = banks == b
-                np.add.at(self._wear[int(b)], locals_[mask], 1)
-            self.total_writes += n_wearing
-        # Last write wins per pa: the per-bank masks preserve chunk order,
-        # so fancy assignment within each bank stores chronologically.
+    def _wear_of(self, pas: np.ndarray) -> np.ndarray:
+        return self._gather_wear(pas)
+
+    def _limit_of(self, pas: np.ndarray) -> float:
+        return self.config.endurance
+
+    def _store(self, wear_pas: np.ndarray, pas: np.ndarray, datas: np.ndarray) -> None:
+        banks, locals_ = self._locate_many(wear_pas)
+        for b in np.unique(banks):
+            mask = banks == b
+            np.add.at(self._wear[int(b)], locals_[mask], 1)
+        # The per-bank masks preserve chunk order, so fancy assignment
+        # within each bank stores chronologically (last write wins).
         banks, locals_ = self._locate_many(pas)
         for b in np.unique(banks):
             mask = banks == b
             self._data[int(b)][locals_[mask]] = datas[mask]
-        return chunk_ns
-
-    def _write_many_scalar(self, pas: np.ndarray, datas: np.ndarray) -> float:
-        """Scalar fallback of :meth:`write_many`; tags failure positions."""
-        latency = 0.0
-        for i in range(pas.size):
-            try:
-                latency += self.write(int(pas[i]), LineData(int(datas[i])))
-            except LineFailure as failure:
-                if failure.chunk_index is None:
-                    failure.chunk_index = i
-                raise
-        return latency
-
-    def _chunk_old_data(self, pas: np.ndarray, datas: np.ndarray) -> np.ndarray:
-        """Per-write *old* latency class, honouring intra-chunk rewrites."""
-        n = int(pas.size)
-        order = np.argsort(pas, kind="stable")
-        sorted_pas = pas[order]
-        sorted_datas = datas[order]
-        first = np.ones(n, dtype=bool)
-        first[1:] = sorted_pas[1:] != sorted_pas[:-1]
-        old_sorted = np.empty(n, dtype=np.int8)
-        old_sorted[first] = self._gather(self._data, sorted_pas[first])
-        repeats = np.nonzero(~first)[0]
-        old_sorted[repeats] = sorted_datas[repeats - 1]
-        old = np.empty(n, dtype=np.int8)
-        old[order] = old_sorted
-        return old
 
     # --------------------------------------------------------------- wear
 

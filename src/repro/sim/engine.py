@@ -6,11 +6,12 @@ Two drivers, one result type:
   logical write.
 * :func:`run_trace_fast` — the chunked fast path: hands whole trace
   chunks to :meth:`MemoryController.write_chunk`, which applies the
-  scheme's remap-free runs as numpy array operations and drops to the
-  scalar path only for the writes that may trigger a remap (and for
-  schemes/configurations that cannot be chunked).  Bit-identical to
-  :func:`run_trace`: same ``elapsed_ns``, ``total_writes``, per-line
-  wear, failure PA, and RNG stream.  See ``docs/performance.md``.
+  scheme's windows — user writes and remap movements in order — as
+  numpy array operations (schemes without a closed-form walk take each
+  write that may remap through the scalar ``record_write``).
+  Bit-identical to :func:`run_trace`: same ``elapsed_ns``,
+  ``total_writes``, per-line wear, failure PA, and RNG stream.  See
+  ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -112,19 +113,21 @@ def run_trace_fast(
     """Chunked twin of :func:`run_trace`; bit-identical results.
 
     ``trace`` may be a scalar :class:`TraceEntry` stream (batched here
-    via :func:`repro.sim.trace.trace_chunks`), a native chunked stream
-    of ``(las, datas)`` arrays (e.g. ``uniform_random_chunks``), which
-    skips per-entry Python objects entirely, or a
-    :class:`~repro.sim.fastforward.TraceSpec` naming a distribution.
+    via :func:`repro.sim.trace.trace_chunks` into chunks of ``batch``
+    writes), a native chunked stream of ``(las, datas)`` arrays (e.g.
+    ``uniform_random_chunks``), which skips per-entry Python objects
+    entirely and keeps its own chunking, or a
+    :class:`~repro.sim.fastforward.TraceSpec` naming a distribution.  A
+    spec is cut at its own ``spec.batch``, because its random stream
+    depends on that size, so for a spec ``batch`` only sets the
+    fast-forward drop-back floor (:func:`~repro.sim.fastforward.
+    run_fast_forward`).
 
     Each chunk goes to ``controller.write_chunk`` whole (cut only at
-    ``max_writes``).  The scheme walks it as remap-free runs
-    (``chunk_runs``); the boundary writes between runs — and everything
-    else when a scheme cannot bound its next remap — run through the
-    scalar ``controller.write``, so remap movements and every RNG draw
-    happen in exactly the scalar order.  Failures mid-chunk are
-    attributed to the precise failing write via
-    ``LineFailure.chunk_index``.
+    ``max_writes``).  The scheme walks it as windows of ordered events
+    (``chunk_runs``), so remap movements and every RNG draw happen in
+    exactly the scalar order.  Failures mid-chunk are attributed to the
+    precise failing write via ``LineFailure.chunk_index``.
 
     ``fast_forward`` selects the analytic third tier (requires a
     :class:`TraceSpec` trace): ``"off"`` (default — preserves the

@@ -7,10 +7,12 @@ of any remap movement the write triggered — the paper's premise that
 latency to the request which happens just following the remapping".
 
 ``write_chunk(las, datas)`` is the batched twin the chunk engine drives:
-it walks the scheme's remap-free runs (:meth:`~repro.wearlevel.base.
-WearLeveler.chunk_runs`), writes each run with one ``write_many`` and each
-remap-boundary write through :meth:`MemoryController.write`, so a whole
-chunk is one call and bit-identical to as many ``write`` calls.
+it walks the scheme's windows (:meth:`~repro.wearlevel.base.
+WearLeveler.chunk_runs`) and applies each, user writes and remap
+movements in order, with one ``write_events`` on the array (or, for a
+scheme without a closed-form walk, a write that may remap through
+``write``), so a whole chunk is one call and bit-identical to as many
+``write`` calls.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.pcm.health import DeviceHealth
 from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.timing import LineData
 from repro.util.rng import SeedLike
-from repro.wearlevel.base import CopyMove, SwapMove, WearLeveler
+from repro.wearlevel.base import SCALAR_WRITE, CopyMove, SwapMove, WearLeveler
 
 
 class MemoryController:
@@ -128,13 +130,16 @@ class MemoryController:
     ) -> Tuple[float, int]:
         """Write a whole chunk; bit-identical to one :meth:`write` per entry.
 
-        The scheme's remap-free runs go to the array in one
-        :meth:`~repro.pcm.array.PCMArray.write_many` each; the write after
-        each run, which may trigger a remap, goes through the scalar
-        :meth:`write` (remap movements are rare and attacker-observable,
-        so they always execute scalar).  Returns ``(latency_ns,
-        len(las))``.  A :class:`~repro.pcm.array.LineFailure` carries the
-        failing write's position in the chunk as ``chunk_index``.
+        Each window of the scheme's walk goes to the array in one
+        :meth:`~repro.pcm.array.OrderedWrites.write_events`: its user
+        writes and the remap movements between them, in scalar order, so
+        each movement's latency still lands on the write that triggered
+        it.  The window is then committed, or on a
+        :class:`~repro.pcm.array.LineFailure` only up to the failing
+        write, whose position in the chunk the failure carries as
+        ``chunk_index``.  The base walk's
+        :data:`~repro.wearlevel.base.SCALAR_WRITE` windows go through
+        :meth:`write` instead.  Returns ``(latency_ns, len(las))``.
         """
         las = np.asarray(las, dtype=np.int64)
         datas = np.asarray(datas)
@@ -148,17 +153,27 @@ class MemoryController:
             self._check_la(int(bad))
         latency = 0.0
         pos = 0
-        try:
-            for pas, n in self.scheme.chunk_runs(las):
-                if n:
-                    latency += self.array.write_many(pas, datas[pos : pos + n])
-                    pos += n
-                if pos < size:
+        for window in self.scheme.chunk_runs(las):
+            if window is SCALAR_WRITE:
+                try:
                     latency += self.write(int(las[pos]), LineData(int(datas[pos])))
-                    pos += 1
-        except LineFailure as failure:
-            failure.chunk_index = pos + (failure.chunk_index or 0)
-            raise
+                except LineFailure as failure:
+                    failure.chunk_index = pos
+                    raise
+                pos += 1
+                continue
+            n = int(window.pas.size)
+            try:
+                latency += self.array.write_events(
+                    window.pas, datas[pos : pos + n], window.moves
+                )
+            except LineFailure as failure:
+                assert failure.chunk_index is not None
+                window.commit(failure.chunk_index + 1)
+                failure.chunk_index += pos
+                raise
+            window.commit(n)
+            pos += n
         return latency, size
 
     def read(self, la: int) -> Tuple[LineData, float]:

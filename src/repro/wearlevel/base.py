@@ -10,6 +10,13 @@ The split of responsibilities mirrors a real memory controller:
 ``record_write`` returns the movements triggered by one logical write.  The
 scheme's mapping state is already updated when the movements are returned,
 so the caller must execute them (in order) before translating the write.
+
+``chunk_runs`` is the batched twin: it walks a chunk of writes as
+:class:`Window` s, each a list of user writes with the movements between
+them (:data:`Moves`) that the array applies in one call
+(:meth:`repro.pcm.array.OrderedWrites.write_events`).  The
+region-partitioned schemes share one closed-form walk,
+:func:`walk_windows`.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Tuple,
     Union,
@@ -39,77 +47,145 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     """Occurrence number (0-based) of each element within its group.
 
-    ``grouped_cumcount([3, 1, 3, 3, 1]) == [0, 0, 1, 2, 1]``.  This is the
-    primitive the region-partitioned schemes use to find the writes of a
-    window that reach a region's remap trigger: element ``i`` is its
-    region's ``occ[i]``-th write in the window.
+    ``grouped_cumcount([3, 1, 3, 3, 1]) == [0, 0, 1, 2, 1]``: element ``i``
+    is its group's ``occ[i]``-th occurrence in array order.  The region
+    banks find a window's remap triggers with it, and the array the
+    running wear count of each line.
     """
-    n = int(groups.size)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
     order = np.argsort(groups, kind="stable")
     sorted_groups = groups[order]
-    positions = np.arange(n, dtype=np.int64)
-    group_start = positions.copy()
-    group_start[1:] = np.where(
-        sorted_groups[1:] != sorted_groups[:-1], positions[1:], 0
-    )
-    np.maximum.accumulate(group_start, out=group_start)
-    occ = np.empty(n, dtype=np.int64)
-    occ[order] = positions - group_start
+    occ = np.empty(groups.size, dtype=np.int64)
+    # Each element's sorted position minus its group's first position.
+    occ[order] = np.arange(groups.size) - np.searchsorted(sorted_groups, sorted_groups)
     return occ
+
+
+#: ``(at, swap, a, b)``: remap movements as arrays, in execution order.
+#: Movement ``m`` runs just before user write ``at[m]``: a swap of lines
+#: ``a[m]`` and ``b[m]`` when ``swap[m]``, else a copy of ``a[m]`` to ``b[m]``.
+Moves = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+NO_MOVES: Moves = (
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=bool),
+    np.empty(0, dtype=np.int64),
+    np.empty(0, dtype=np.int64),
+)
+
+
+class Window(NamedTuple):
+    """One window of a chunk walk (:meth:`WearLeveler.chunk_runs`).
+
+    ``pas`` holds the physical address of each of the window's user
+    writes, under the registers current at that write.  ``moves`` holds
+    the remap movements between them as ``(at, swap, a, b)`` arrays, in
+    execution order (:mod:`repro.pcm.events`).  ``commit(k)`` advances
+    the scheme over the window's first ``k`` writes, the ones the array
+    performed; the caller calls it before resuming the walk.
+    """
+
+    pas: np.ndarray
+    moves: Moves
+    commit: Callable[[int], None]
+
+
+class OuterLevel(NamedTuple):
+    """The outer remap level of a two-level scheme, for :func:`walk_windows`.
+
+    ``interval``: bank writes per outer trigger; ``written()``: bank writes
+    counted so far; ``step()``: perform one outer trigger (RNG draws
+    included) and return its movement in physical addresses, ``None``
+    when it moves nothing; ``count(k)``: count ``k`` more bank writes.
+    """
+
+    interval: int
+    written: Callable[[], int]
+    step: Callable[[], Optional["Move"]]
+    count: Callable[[int], None]
+
+
+def _lead(move: "Move") -> Tuple[List[int], List[bool], List[int], List[int]]:
+    """One movement before write 0, as the four columns of :data:`Moves`."""
+    if isinstance(move, SwapMove):
+        return [0], [True], [move.pa_a], [move.pa_b]
+    return [0], [False], [move.src], [move.dst]
+
+
+def _commit_nothing(k: int) -> None:
+    """Commit of a window whose writes were already recorded."""
+
+
+#: A window of one write that goes through the scalar ``controller.write``
+#: (``record_write``, its movements, ``translate``): the base walk's write
+#: after each remap-free run.
+SCALAR_WRITE = Window(None, NO_MOVES, _commit_nothing)  # type: ignore[arg-type]
 
 
 def walk_windows(
     bank: Union["StartGapBank", "SRBank"],
     las: np.ndarray,
-    locate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]],
-    translate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    outer_remaining: Optional[Callable[[], int]] = None,
-) -> Iterator[Tuple[np.ndarray, int]]:
+    locate: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
+    outer: Optional[OuterLevel] = None,
+    spare_pa: int = -1,
+) -> Iterator[Window]:
     """:meth:`WearLeveler.chunk_runs` for a scheme built on ``bank``.
 
-    The chunk walk every region-partitioned scheme shares.  A *window* is
-    the stretch of writes before the scheme's next outer trigger (the
-    write ``outer_remaining()`` writes ahead), or the rest of the chunk
-    when the scheme has no outer level.  Inside a window the map from a
-    write to its region is static: an inner movement changes the slot of
-    one or two lines, never the region a write counts in (§IV).  So each
-    window is located once (``locate``: writes to ``(regions, locals)``;
-    region ``-1`` marks a write no region counts, Security RBSG's outer
-    spare slot) and :func:`grouped_cumcount`-ed once, and write ``i`` fires
-    its region's inner movement iff ``(write_count[r] + occ[i] + 1) %
-    remap_interval == 0`` — every trigger of the window, not just the
-    first.
+    The chunk walk every region-partitioned scheme shares.  A *window*
+    runs from an outer trigger to the write before the next one, or over
+    the whole chunk when the scheme has no outer level.  The first window
+    of a chunk starts without a trigger (it is empty when the chunk opens
+    on one), so a walk abandoned there has changed nothing.  Per window:
 
-    Yields the remap-free runs between those boundary writes.  A run's
-    writes are added to ``bank.write_count`` just before its yield and
-    translated then (``translate``), with the bank's current registers,
-    so a run sees the movements earlier boundary writes made.  The last
-    run of a window ending before its outer trigger is followed by that
-    trigger write.
+    * the outer trigger runs at the window start (``outer.step``), and its
+      movement leads the window's events;
+    * ``locate(lo, hi)`` gives writes ``las[lo:hi]`` as ``(regions,
+      locals)`` under the outer mapping just set.  Inside a window that map
+      is static: an inner movement changes the slot of one or two lines,
+      never the region a write counts in (§IV).  Region ``-1`` marks a
+      write no region counts (Security RBSG's outer spare slot, physical
+      line ``spare_pa``);
+    * the bank computes the window's inner movements and every write's
+      physical address in closed form from its registers
+      (``bank.window``).  An SR bank ends the window right after a
+      trigger that completes a key round, so its key draw happens at
+      commit, in scalar order;
+    * ``commit(k)`` advances the bank and the outer write count over the
+      ``k`` writes the array performed.
     """
     size = int(las.size)
-    interval = bank.remap_interval
-    n_regions = bank.write_count.size
     pos = 0
+    if outer is not None and size and _outer_left(outer) == 1:
+        yield Window(np.empty(0, dtype=np.int64), NO_MOVES, _commit_nothing)
     while pos < size:
+        head: Optional[Move] = None
         end = size
-        if outer_remaining is not None:
-            end = min(size, pos + outer_remaining() - 1)
-        regions, locals_ = locate(las[pos:end])
-        counted = regions >= 0
-        counts = bank.write_count[regions] + grouped_cumcount(regions) + 1
-        fires = counted & (counts % interval == 0)
-        start = 0
-        for stop in np.flatnonzero(fires).tolist() + [end - pos]:
-            run = slice(start, stop)
-            bank.write_count += np.bincount(
-                regions[run][counted[run]], minlength=n_regions
+        if outer is not None:
+            left = _outer_left(outer)
+            if left == 1:
+                head = outer.step()
+                left += outer.interval
+            end = min(size, pos + left - 1)
+        regions, locals_ = locate(pos, end)
+        n, pas, inner, advance = bank.window(regions, locals_)
+        if spare_pa >= 0:
+            pas[regions[:n] < 0] = spare_pa
+        moves = inner
+        if head is not None:
+            moves = tuple(  # type: ignore[assignment]
+                np.concatenate((lead, rest)) for lead, rest in zip(_lead(head), inner)
             )
-            yield translate(regions[run], locals_[run]), stop - start
-            start = stop + 1
-        pos = end + 1
+
+        def commit(k: int, advance: Callable[[int], None] = advance) -> None:
+            advance(k)
+            if outer is not None:
+                outer.count(k)
+
+        yield Window(pas, moves, commit)
+        pos += n
+
+
+def _outer_left(outer: OuterLevel) -> int:
+    """Writes until the outer trigger, that write included."""
+    return outer.interval - outer.written() % outer.interval
 
 
 def spread_even(totals: np.ndarray, width: int) -> np.ndarray:
@@ -247,7 +323,8 @@ class WearLeveler(abc.ABC):
     # The fast simulation engine exploits the schemes' shared structure:
     # between remap triggers the LA→PA mapping is *static*, so a chunk of
     # writes can be translated and accounted as numpy array operations.
-    # The contract has three parts; `chunk_runs` composes them and is
+    # The base contract has three parts; the base `chunk_runs` composes
+    # them, and the region schemes replace it with `walk_windows`.  It is
     # what the controller actually drives.
 
     def translate_many(self, las: np.ndarray) -> np.ndarray:
@@ -342,41 +419,52 @@ class WearLeveler(abc.ABC):
                     "writes_until_next_remap over-promised"
                 )
 
-    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
-        """Walk a chunk of writes as remap-free runs and boundary writes.
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """Walk a chunk of writes as windows of ordered events.
 
-        Yields ``(pas, n)`` for the next ``n >= 0`` writes of ``las``:
-        their physical addresses, with their counters already advanced.
-        After each run except one that reaches the end of ``las``, the
-        caller issues the next write through the scalar
-        :meth:`record_write`/:meth:`translate` path (executing its
-        movements), then resumes the generator.  The generator changes
-        state only just before a yield, so every movement and RNG draw
-        happens in scalar order and an abandoned walk (a line failure
-        mid-chunk) leaves the scalar path's mapping.
+        Yields one :class:`Window` at a time: the physical addresses of
+        its user writes, the remap movements between them, and the
+        ``commit(k)`` the caller calls with the number of writes the array
+        performed before it resumes the walk.  Every movement and RNG draw
+        happens in scalar order, and a walk abandoned at a line failure
+        leaves the scalar path's state once the failing write is
+        committed.
 
-        Each run is translated against the state at its yield, which
-        equals the per-write state because no remap fires inside it — the
-        static-mapping invariant the fast engine is built on.
+        The base default is conservative: it alternates remap-free runs
+        (``writes_until_next_remap`` → ``translate_many``, committed with
+        ``record_writes_many``) with :data:`SCALAR_WRITE`, which hands the
+        write after each run, one that may remap, to the scalar
+        ``controller.write`` path.  Region-partitioned schemes override
+        this with :func:`walk_windows`.
         """
         pos, size = 0, int(las.size)
         while pos < size:
             n = max(0, min(size - pos, self.writes_until_next_remap() - 1))
-            pas = np.empty(0, dtype=np.int64)
             if n:
                 run = las[pos : pos + n]
-                pas = self.translate_many(run)
-                self.record_writes_many(run)
-            yield pas, n
-            pos += n + 1
+                yield Window(
+                    self.translate_many(run),
+                    NO_MOVES,
+                    lambda k, run=run: self.record_writes_many(run[:k]),
+                )
+                pos += n
+            if pos < size:
+                yield SCALAR_WRITE
+                pos += 1
 
     def consume_chunk(self, las: np.ndarray) -> Tuple[np.ndarray, int]:
-        """The first run of :meth:`chunk_runs`: ``(pas, n)`` for the longest
-        remap-free prefix of ``las``, whose counters are now advanced.
+        """``(pas, n)`` for the writes of ``las`` before the first remap
+        movement of :meth:`chunk_runs`' first window, now counted.
 
-        ``n == 0`` means the very next write may remap.
+        ``n == 0`` means the very next write may move data.
         """
-        return next(self.chunk_runs(las), (np.empty(0, dtype=np.int64), 0))
+        window = next(self.chunk_runs(las), None)
+        if window is None or window is SCALAR_WRITE:
+            return np.empty(0, dtype=np.int64), 0
+        at = window.moves[0]
+        n = int(at[0]) if at.size else int(window.pas.size)
+        window.commit(n)
+        return window.pas[:n], n
 
     # ------------------------------------------------------------- helpers
 

@@ -24,6 +24,7 @@ from repro.wearlevel.base import (
     Move,
     RoundProfile,
     WearLeveler,
+    Window,
     spread_even,
     spread_exact,
     walk_windows,
@@ -80,10 +81,12 @@ class MultiWaySR(WearLeveler):
             *self._locate(np.asarray(las, dtype=np.int64))
         )
 
-    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
-        """No outer level: one window per chunk."""
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """No outer level: the chunk is located once, and a window ends
+        only at a sub-region's key draw."""
+        regions, locals_ = self._locate(las)
         return walk_windows(
-            self.regions, las, self._locate, self.regions.translate_many
+            self.regions, las, lambda lo, hi: (regions[lo:hi], locals_[lo:hi])
         )
 
     # -------------------------------------------------- fast-forward API

@@ -32,6 +32,7 @@ from repro.wearlevel.base import (
     Move,
     RoundProfile,
     WearLeveler,
+    Window,
     spread_even,
     spread_exact,
     walk_windows,
@@ -138,10 +139,12 @@ class RegionBasedStartGap(WearLeveler):
     def translate_many(self, las: np.ndarray) -> np.ndarray:
         return self.regions.translate_many(*self._locate(las))
 
-    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
-        """The static randomizer has no trigger: one window per chunk."""
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """The static randomizer has no trigger: one window per chunk,
+        located once."""
+        regions, locals_ = self._locate(las)
         return walk_windows(
-            self.regions, las, self._locate, self.regions.translate_many
+            self.regions, las, lambda lo, hi: (regions[lo:hi], locals_[lo:hi])
         )
 
     # -------------------------------------------------- fast-forward API

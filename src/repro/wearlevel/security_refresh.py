@@ -16,7 +16,7 @@ physical lines — no gap line needed (Fig. 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +24,11 @@ from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     Move,
+    Moves,
     RoundProfile,
     SwapMove,
     WearLeveler,
+    grouped_cumcount,
     spread_exact,
 )
 
@@ -119,12 +121,16 @@ class SRBank:
         # fixed point).
         la += 1
         if la == self.size:  # round complete: rotate the keys
-            self.keyp[r] = keyc
-            self.keyc[r] = self._rng.integers(0, self.size)
-            self.round_count[r] += 1
+            self._end_round(r)
             la = 0
         self.crp[r] = la
         return swap
+
+    def _end_round(self, r: int) -> None:
+        """Rotate region ``r``'s keys: ``keyp <- keyc``, draw a fresh ``keyc``."""
+        self.keyp[r] = self.keyc.item(r)
+        self.keyc[r] = self._rng.integers(0, self.size)
+        self.round_count[r] += 1
 
     # ------------------------------------------------------- vector path
 
@@ -134,6 +140,60 @@ class SRBank:
         kp = self.keyp[regions]
         remapped = np.minimum(locals_, locals_ ^ (kc ^ kp)) < self.crp[regions]
         return regions * self.size + (locals_ ^ np.where(remapped, kc, kp))
+
+    def window(
+        self, regions: np.ndarray, locals_: np.ndarray
+    ) -> Tuple[int, np.ndarray, Moves, Callable[[int], None]]:
+        """A window of writes in closed form: ``(n, pas, moves, commit)``.
+
+        Write ``i`` is its region's ``occ[i]``-th in the window, so it
+        advances the CRP iff ``(write_count[r] + occ[i] + 1) %
+        remap_interval == 0``, and sees the CRP moved ``seen[i]`` times
+        (its own advance included).  An advance from CRP ``c`` swaps iff
+        ``c ^ keyc ^ keyp > c``.  The window ends right after the first
+        advance that completes a key round (``n`` counts the writes up to
+        it): its swap is due under the old keys, and translating that
+        write with CRP ``size`` under the old keys gives the new round's
+        mapping (CRP 0), so the draw can wait for ``commit(k)``, which
+        advances the bank over the first ``k`` writes.
+        """
+        counted = regions >= 0
+        interval = self.remap_interval
+        # Writes into the region's current interval, this one included
+        # (region -1: garbage, masked below).
+        into = grouped_cumcount(regions) + (self.write_count % interval + 1)[regions]
+        seen, phase = np.divmod(into, interval)
+        crp = self.crp[regions] + seen
+        fired = np.flatnonzero(counted & (phase == 0))
+        ends = fired[crp[fired] == self.size]
+        n = int(regions.size) if ends.size == 0 else int(ends[0]) + 1
+        regions, locals_, crp = regions[:n], locals_[:n], crp[:n]
+        fired = fired[fired < n]
+        keyc, keyp = self.keyc[regions], self.keyp[regions]
+        remapped = np.minimum(locals_, locals_ ^ keyc ^ keyp) < crp
+        pas = regions * self.size + (locals_ ^ np.where(remapped, keyc, keyp))
+        la = crp[fired] - 1  # the CRP each advance starts from
+        swaps = (la ^ keyc[fired] ^ keyp[fired]) > la
+        at, la = fired[swaps], la[swaps]
+        base = regions[at] * self.size
+        moves = (
+            at,
+            np.ones(at.size, dtype=bool),
+            base + (la ^ keyp[at]),
+            base + (la ^ keyc[at]),
+        )
+        n_regions = self.write_count.size
+
+        def commit(k: int) -> None:
+            self.write_count += np.bincount(regions[:k][counted[:k]], minlength=n_regions)
+            self.crp += np.bincount(regions[fired[fired < k]], minlength=n_regions)
+            self.total_swaps += np.bincount(regions[at[at < k]], minlength=n_regions)
+            if k == n and ends.size:
+                done = int(regions[n - 1])
+                self.crp[done] = 0
+                self._end_round(done)
+
+        return n, pas, moves, commit
 
     def remaining(self) -> np.ndarray:
         """Writes each region takes until its CRP advances again (>= 1)."""

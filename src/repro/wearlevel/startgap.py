@@ -16,15 +16,17 @@ advances, completing one remapping round exactly as in Fig. 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.wearlevel.base import (
     CopyMove,
     Move,
+    Moves,
     RoundProfile,
     WearLeveler,
+    grouped_cumcount,
     spread_exact,
 )
 
@@ -95,6 +97,43 @@ class StartGapBank:
         slots = (locals_ + self.start[regions]) % self.size
         slots += slots >= self.gap[regions]
         return regions * (self.size + 1) + slots
+
+    def window(
+        self, regions: np.ndarray, locals_: np.ndarray
+    ) -> Tuple[int, np.ndarray, Moves, Callable[[int], None]]:
+        """A window of writes in closed form: ``(n, pas, moves, commit)``.
+
+        ``regions``/``locals_`` locate each write (region ``-1``: counted
+        by no region; its pa is left for the caller).  Write ``i`` is its
+        region's ``occ[i]``-th in the window, so it fires a gap movement
+        iff ``(write_count[r] + occ[i] + 1) % remap_interval == 0``, and
+        it sees ``T`` movements of its region in total, its own included,
+        with the gap at ``(size - T) mod (size + 1)`` and ``start`` at
+        ``T // (size + 1) mod size``; a movement copies the slot the gap
+        moves to into the one it leaves.  The window is never cut (``n`` is
+        every write); ``commit(k)`` advances the bank over the first ``k``.
+        """
+        counted = regions >= 0
+        interval = self.remap_interval
+        # Writes into the region's current interval, this one included
+        # (region -1: garbage, masked below).
+        into = grouped_cumcount(regions) + (self.write_count % interval + 1)[regions]
+        seen, phase = np.divmod(into, interval)
+        laps, walked = np.divmod(self.total_movements[regions] + seen, self.size + 1)
+        slot = (locals_ + laps) % self.size
+        slot += slot >= self.size - walked  # the gap is at size - walked
+        slots = self.size + 1
+        pas = regions * slots + slot
+        at = np.flatnonzero(counted & (phase == 0))
+        src = self.size - walked[at]  # the gap after the move
+        base = regions[at] * slots
+        moves = (at, np.zeros(at.size, dtype=bool), base + src, base + (src + 1) % slots)
+        n_regions = self.write_count.size
+
+        def commit(k: int) -> None:
+            self.advance(np.bincount(regions[:k][counted[:k]], minlength=n_regions))
+
+        return int(regions.size), pas, moves, commit
 
     def remaining(self) -> np.ndarray:
         """Writes each region takes until its next gap movement (>= 1)."""

@@ -26,9 +26,11 @@ from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     Move,
+    OuterLevel,
     RoundProfile,
     SwapMove,
     WearLeveler,
+    Window,
     spread_exact,
     walk_windows,
 )
@@ -99,18 +101,23 @@ class TwoLevelSecurityRefresh(WearLeveler):
         moves: List[Move] = []
         # Outer level counts every write to the bank; its swap exchanges
         # two IAs, i.e. the lines they occupy through the inner mapping.
-        outer_swap = self.outer.record_write(0)
+        outer_swap = self._outer_move(self.outer.record_write(0))
         if outer_swap is not None:
-            pa_a = self._phys_of_ia(outer_swap.pa_a)
-            pa_b = self._phys_of_ia(outer_swap.pa_b)
-            if pa_a != pa_b:
-                moves.append(SwapMove(pa_a=pa_a, pa_b=pa_b))
+            moves.append(outer_swap)
         # Inner level counts writes landing in the target sub-region
         # (computed under the post-outer-remap mapping).
         inner_swap = self.inners.record_write(self._subregion_of_la(la))
         if inner_swap is not None:
             moves.append(inner_swap)
         return moves
+
+    def _outer_move(self, swap: Optional[SwapMove]) -> Optional[SwapMove]:
+        """An outer swap of two IAs as the swap of the lines they occupy."""
+        if swap is None:
+            return None
+        pa_a = self._phys_of_ia(swap.pa_a)
+        pa_b = self._phys_of_ia(swap.pa_b)
+        return None if pa_a == pa_b else SwapMove(pa_a=pa_a, pa_b=pa_b)
 
     # ------------------------------------------------------- batched API
 
@@ -123,21 +130,20 @@ class TwoLevelSecurityRefresh(WearLeveler):
             *self._locate(np.asarray(las, dtype=np.int64))
         )
 
-    def _outer_remaining(self) -> int:
-        interval = self.outer.remap_interval
-        return interval - self.outer.write_count.item(0) % interval
+    def _count_outer(self, writes: int) -> None:
+        self.outer.write_count += writes
 
-    def chunk_runs(self, las: np.ndarray) -> Iterator[Tuple[np.ndarray, int]]:
-        """Windows end at the outer swap; every write counts there."""
-        for pas, n in walk_windows(
-            self.inners,
-            las,
-            self._locate,
-            self.inners.translate_many,
-            self._outer_remaining,
-        ):
-            self.outer.write_count += n
-            yield pas, n
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """Windows start at the outer swap; every write counts there."""
+        outer = OuterLevel(
+            self.outer.remap_interval,
+            lambda: self.outer.write_count.item(0),
+            lambda: self._outer_move(self.outer.remap_step(0)),
+            self._count_outer,
+        )
+        return walk_windows(
+            self.inners, las, lambda lo, hi: self._locate(las[lo:hi]), outer
+        )
 
     # -------------------------------------------------- fast-forward API
 

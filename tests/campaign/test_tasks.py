@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.campaign import tasks
 from repro.campaign.aggregate import aggregate, to_json
 from repro.campaign.runner import RunnerConfig, run_collect
 from repro.campaign.spec import CampaignSpec
@@ -14,8 +15,33 @@ from repro.campaign.tasks import (
     run_trace_lifetime_task,
     task_kinds,
 )
+from repro.cli import build_parser
+from repro.config import PAPER_PCM
 
 DATA = Path(__file__).parent.parent / "data"
+
+
+class TestPaperScaleDefaults:
+    """The paper-scale preset and its task default to the paper's device:
+    a 1 GB bank of 256 B lines, 2^22 lines."""
+
+    def test_cli_preset_lines(self):
+        args = build_parser().parse_args(
+            ["lifetime", "--paper-scale", "--scheme", "security-rbsg"]
+        )
+        assert args.lines == PAPER_PCM.n_lines == 1 << 22
+
+    def test_lifetime_ff_task_lines(self, monkeypatch):
+        built = []
+
+        def stop(name, n_lines, seed, params):
+            built.append(n_lines)
+            raise TaskError("stop before the run")
+
+        monkeypatch.setattr(tasks, "build_scheme", stop)
+        with pytest.raises(TaskError, match="stop before the run"):
+            get_task("lifetime-ff")({"scheme": "security-rbsg", "trace": "uniform"}, 1)
+        assert built == [PAPER_PCM.n_lines]
 
 
 class TestTraceLifetimeTask:

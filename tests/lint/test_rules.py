@@ -147,6 +147,12 @@ class TestREP002DiscardedLatency:
                 controller.write_chunk(las, datas)
         """) == ["REP002", "REP002"]
 
+    def test_bare_write_events_flagged(self):
+        assert codes("""\
+            def drive(array, pas, datas, moves):
+                array.write_events(pas, datas, moves)
+        """) == ["REP002"]
+
     def test_bare_run_trace_fast_flagged(self):
         diags = run("""\
             from repro.sim.engine import run_trace_fast

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.config import PCMConfig
-from repro.sim.engine import run_trace, run_until_failure
+from repro.core.security_rbsg import SecurityRBSG
+from repro.sim.engine import run_trace, run_trace_fast, run_until_failure
+from repro.sim.fastforward import TraceSpec
 from repro.sim.memory_system import MemoryController
 from repro.sim.trace import repeated_address_trace, uniform_random_trace
 from repro.wearlevel.nowl import NoWearLeveling
@@ -69,3 +71,28 @@ class TestRunUntilFailure:
             run_until_failure(
                 controller, uniform_random_trace(16, rng=0), max_writes=100
             )
+
+
+class TestRunTraceFastBatch:
+    def test_trace_spec_is_cut_at_its_own_batch(self):
+        """A ``TraceSpec`` is cut at ``spec.batch``, because its random
+        stream depends on it; ``run_trace_fast(batch=)`` changes neither
+        the chunks ``write_chunk`` sees nor the result."""
+        outcomes = []
+        for batch in (512, 8192):
+            controller = make_controller(
+                n_lines=256, scheme=SecurityRBSG(256, n_subregions=8, rng=3)
+            )
+            sizes = []
+            write_chunk = controller.write_chunk
+
+            def counted(las, datas):
+                sizes.append(len(las))
+                return write_chunk(las, datas)
+
+            controller.write_chunk = counted
+            spec = TraceSpec(kind="uniform", n_lines=256, n_writes=20_000, seed=3)
+            result = run_trace_fast(controller, spec, batch=batch)
+            outcomes.append((sizes, result, controller.array.wear.tolist()))
+        assert outcomes[0][0] == [8192, 8192, 3616]
+        assert outcomes[1] == outcomes[0]

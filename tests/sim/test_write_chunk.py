@@ -1,39 +1,82 @@
-"""``MemoryController.write_chunk``: whole chunks, boundary writes included.
+"""``MemoryController.write_chunk``: whole chunks as windows of events.
 
 The chunk engine's bit-identity suite (``test_fast_engine.py``) covers the
-trace matrix; these tests pin what it does not: the chunk-level return
-value, a line failure inside a remap movement, and a malformed chunk
-leaving no partial state behind.
+trace matrix at 2^8 lines; these tests pin what it does not: the
+chunk-level return value, an odd address width (2^9 lines, where every
+Feistel network cycle-walks), a DFN key rotation inside a chunk, a line
+failure on each kind of event of a window, the ordered-event apply of
+both arrays against a scalar replay, and a malformed chunk leaving no
+partial state behind.
 """
 
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.campaign.tasks import build_scheme
 from repro.config import PCMConfig
-from repro.pcm.array import PCMArray
+from repro.pcm.array import LineFailure, PCMArray
 from repro.pcm.sharded import ShardedPCMArray
-from repro.pcm.timing import LineData
+from repro.pcm.timing import ALL0, ALL1, MIXED, LineData
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
 from repro.sim.trace import uniform_random_chunks, uniform_random_trace
+from repro.wearlevel.base import CopyMove
 from tests.sim.test_fast_engine import N_LINES, assert_identical
 
 REGION_SCHEMES = ["rbsg", "multiway-sr", "two-level-sr", "security-rbsg"]
+#: An odd address width: the Feistel networks cycle-walk.
+ODD_LINES = 1 << 9
+ODD_WIDTH = [
+    pytest.param(name, ODD_LINES, id=f"{name}-2^9")
+    for name in ("rbsg", "security-rbsg")
+]
 
 
-@pytest.mark.parametrize("name", REGION_SCHEMES + ["start-gap"])
-def test_chunk_equals_scalar_writes(name):
+def cases(names):
+    """Each scheme at 2^8 lines (ids as before), plus the odd-width cases."""
+    return [pytest.param(name, N_LINES, id=name) for name in names] + ODD_WIDTH
+
+
+def assert_same_run(scalar, fast):
+    """:func:`assert_identical` over every line of the device, plus the
+    schemes' whole state: registers, counters and generator."""
+    assert_identical(scalar, fast)
+    scalar_scheme, fast_scheme = scalar[1].scheme, fast[1].scheme
+    assert fast_scheme.mapping_snapshot() == scalar_scheme.mapping_snapshot()
+    assert pickle.dumps(fast_scheme) == pickle.dumps(scalar_scheme)
+
+
+def run_twins(name, n_lines, interval, endurance, seed, writes=4000):
+    """Scalar and chunk runs of one uniform trace on twin controllers."""
+    outcomes = []
+    for fast in (False, True):
+        scheme = build_scheme(name, n_lines, seed, {"interval": interval})
+        controller = MemoryController(
+            scheme, PCMConfig(n_lines=n_lines, endurance=endurance)
+        )
+        if fast:
+            trace = uniform_random_chunks(n_lines, writes, rng=seed, batch=512)
+            result = run_trace_fast(controller, trace)
+        else:
+            trace = uniform_random_trace(n_lines, writes, rng=seed)
+            result = run_trace(controller, trace)
+        outcomes.append((result, controller))
+    return outcomes
+
+
+@pytest.mark.parametrize("name, n_lines", cases(REGION_SCHEMES + ["start-gap"]))
+def test_chunk_equals_scalar_writes(name, n_lines):
     """One call writes the whole chunk: the latency is the sum of the
     scalar writes' latencies and every write is counted."""
     rng = np.random.default_rng(4)
-    las = rng.integers(0, N_LINES, size=700)
+    las = rng.integers(0, n_lines, size=700)
     datas = rng.integers(0, len(LineData), size=700).astype(np.int8)
-    config = PCMConfig(n_lines=N_LINES, endurance=1e9)
+    config = PCMConfig(n_lines=n_lines, endurance=1e9)
     chunked, scalar = (
-        MemoryController(build_scheme(name, N_LINES, 4, {"interval": 4}), config)
+        MemoryController(build_scheme(name, n_lines, 4, {"interval": 4}), config)
         for _ in range(2)
     )
     latency, n = chunked.write_chunk(las, datas)
@@ -45,50 +88,331 @@ def test_chunk_equals_scalar_writes(name):
     assert np.array_equal(chunked.array.wear, scalar.array.wear)
 
 
-def fails_in_movement(name, interval, endurance, seed):
+def fails_in_movement(name, n_lines, interval, endurance, seed):
     """Scalar run to failure; True when a remap movement wore the line out
     (the failing PA is not where the failing user write lands)."""
-    scheme = build_scheme(name, N_LINES, seed, {"interval": interval})
+    scheme = build_scheme(name, n_lines, seed, {"interval": interval})
     controller = MemoryController(
-        scheme, PCMConfig(n_lines=N_LINES, endurance=endurance)
+        scheme, PCMConfig(n_lines=n_lines, endurance=endurance)
     )
-    trace = list(uniform_random_trace(N_LINES, 4000, rng=seed))
+    trace = list(uniform_random_trace(n_lines, 4000, rng=seed))
     result = run_trace(controller, trace)
     if not result.failed:
         return False
     return result.failed_pa != scheme.translate(trace[result.user_writes - 1].la)
 
 
-@pytest.mark.parametrize("name", REGION_SCHEMES)
-def test_failure_inside_remap_movement(name):
-    """A line that dies during a boundary write's movement is attributed
-    to that write, with the scalar run's wear, time and mapping."""
+@pytest.mark.parametrize("name, n_lines", cases(REGION_SCHEMES))
+def test_failure_inside_remap_movement(name, n_lines):
+    """A line that dies during a movement is attributed to the write that
+    triggered it, with the scalar run's wear, time, mapping and state."""
     hit = next(
         (
             (interval, endurance, seed)
             for interval, endurance, seed in itertools.product(
                 [2, 4, 8], range(8, 24), [1, 2, 3]
             )
-            if fails_in_movement(name, interval, endurance, seed)
+            if fails_in_movement(name, n_lines, interval, endurance, seed)
         ),
         None,
     )
     assert hit is not None, "no small run fails inside a remap movement"
-    interval, endurance, seed = hit
+    assert_same_run(*run_twins(name, n_lines, *hit))
+
+
+#: Movements made so far by the inner level, and bank writes counted by
+#: the outer level, of the two-level schemes.
+INNER_MOVES = {
+    "security-rbsg": lambda scheme: int(scheme.inners.total_movements.sum()),
+    "two-level-sr": lambda scheme: int(scheme.inners.total_swaps.sum()),
+}
+OUTER_WRITES = {
+    "security-rbsg": lambda scheme: scheme.outer_write_count,
+    "two-level-sr": lambda scheme: scheme.outer.write_count.item(0),
+}
+
+
+def failing_event(name, interval, endurance, seed, writes=4000):
+    """Scalar run to failure, one event at a time, as ``controller.write``
+    orders them.  Returns which event wore a line out (``outer``,
+    ``inner`` or ``user``), its write's offset in its window (a window
+    starts at each outer trigger) and whether a movement ran earlier in
+    that window; ``None`` when the run survives."""
+    scheme = build_scheme(name, N_LINES, seed, {"interval": interval})
+    array = PCMArray(
+        PCMConfig(n_lines=N_LINES, endurance=endurance),
+        n_physical=scheme.n_physical,
+    )
+    offset, moved = -1, False
+    for entry in uniform_random_trace(N_LINES, writes, rng=seed):
+        inner = INNER_MOVES[name](scheme)
+        moves = scheme.record_write(entry.la)
+        inner = INNER_MOVES[name](scheme) - inner
+        offset += 1
+        if OUTER_WRITES[name](scheme) % (2 * interval) == 0:
+            offset, moved = 0, False
+        split = len(moves) - inner
+        events = [("outer", move) for move in moves[:split]]
+        events += [("inner", move) for move in moves[split:]] + [("user", None)]
+        for kind, move in events:
+            try:
+                if move is None:
+                    array.write(scheme.translate(entry.la), entry.data)
+                elif isinstance(move, CopyMove):
+                    array.copy(move.src, move.dst)
+                else:
+                    array.swap(move.pa_a, move.pa_b)
+            except LineFailure:
+                return kind, offset, moved
+            moved |= move is not None
+    return None
+
+
+FAILURE_CASES = {
+    "inner-mid-window": lambda kind, offset, moved: kind == "inner" and offset > 0,
+    "user-after-movement": lambda kind, offset, moved: kind == "user" and moved,
+    "outer-at-window-start": lambda kind, offset, moved: kind == "outer",
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+@pytest.mark.parametrize("name", sorted(INNER_MOVES))
+def test_failure_on_each_event_of_a_window(name, case):
+    """The first failure falls on an inner movement mid-window, on a user
+    write after a movement of its window, or on the outer movement that
+    opens a window: the chunk run stops on the same event with the
+    scalar run's wear, time, data, mapping and state."""
+    want = FAILURE_CASES[case]
+    hit = None
+    for params in itertools.product([2, 4, 8], range(8, 40), [1, 2, 3, 4]):
+        event = failing_event(name, *params)
+        if event is not None and want(*event):
+            hit = params
+            break
+    assert hit is not None, f"no small run fails as {case}"
+    assert_same_run(*run_twins(name, N_LINES, *hit))
+
+
+def test_key_rotation_inside_chunk():
+    """Security RBSG at 2^9 lines: DFN key rotations land inside chunks,
+    so the rest of the chunk is located again under the new key pair."""
+    batch, rotations = 512, []
     outcomes = []
     for fast in (False, True):
-        scheme = build_scheme(name, N_LINES, seed, {"interval": interval})
+        scheme = build_scheme("security-rbsg", ODD_LINES, 3, {"interval": 2})
         controller = MemoryController(
-            scheme, PCMConfig(n_lines=N_LINES, endurance=endurance)
+            scheme, PCMConfig(n_lines=ODD_LINES, endurance=1e9)
         )
         if fast:
-            trace = uniform_random_chunks(N_LINES, 4000, rng=seed, batch=512)
+            begin_round = scheme.outer._begin_round
+
+            def rotate(begin_round=begin_round, scheme=scheme):
+                rotations.append(scheme.outer_write_count % batch)
+                return begin_round()
+
+            scheme.outer._begin_round = rotate
+            trace = uniform_random_chunks(ODD_LINES, 12_000, rng=3, batch=batch)
             result = run_trace_fast(controller, trace)
+            del scheme.outer._begin_round
         else:
-            trace = uniform_random_trace(N_LINES, 4000, rng=seed)
+            trace = uniform_random_trace(ODD_LINES, 12_000, rng=3)
             result = run_trace(controller, trace)
         outcomes.append((result, controller))
-    assert_identical(*outcomes)
+    assert any(rotations), "no key rotation fell inside a chunk"
+    assert_same_run(*outcomes)
+
+
+# ------------------------------------------------- ordered-event apply
+
+
+def scalar_events(array, pas, datas, moves):
+    """What ``controller.write`` does: each movement, then its user write."""
+    at, swap, a, b = moves
+    latency, m = 0.0, 0
+    for i in range(len(pas)):
+        try:
+            while m < len(at) and at[m] <= i:
+                move = array.swap if swap[m] else array.copy
+                latency += move(int(a[m]), int(b[m]))
+                m += 1
+            latency += array.write(int(pas[i]), LineData(int(datas[i])))
+        except LineFailure as failure:
+            failure.chunk_index = i
+            raise
+    return latency
+
+
+def as_moves(moves):
+    """``[(at, swap, a, b), ...]`` as the arrays ``write_events`` takes."""
+    columns = list(zip(*moves)) or [(), (), (), ()]
+    return tuple(
+        np.array(column, dtype=bool if k == 1 else np.int64)
+        for k, column in enumerate(columns)
+    )
+
+
+def outcome(array, apply):
+    try:
+        latency, failure = apply(array), None
+    except LineFailure as exc:
+        latency = None
+        failure = (exc.pa, exc.chunk_index, exc.wear, exc.total_writes, exc.elapsed_ns)
+    return (
+        latency,
+        failure,
+        array.wear.tolist(),
+        array.data.tolist(),
+        array.total_writes,
+        array.elapsed_ns,
+    )
+
+
+ARRAYS = {
+    "monolithic": lambda config: PCMArray(config, n_physical=16),
+    "sharded": lambda config: ShardedPCMArray(config, n_physical=16, n_shards=3),
+}
+
+
+def assert_events_match(make, pas, datas, moves, before=()):
+    """``write_events`` equals the scalar replay on twin arrays that first
+    took the writes ``before``; returns the common outcome."""
+    pas = np.array(pas, dtype=np.int64)
+    datas = np.array([int(d) for d in datas], dtype=np.int8)
+    moves = as_moves(moves)
+    outcomes = []
+    for apply in (
+        lambda array: array.write_events(pas, datas, moves),
+        lambda array: scalar_events(array, pas, datas, moves),
+    ):
+        array = make()
+        for pa, data in before:
+            array.write(pa, data)
+        outcomes.append(outcome(array, apply))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+@pytest.fixture(params=sorted(ARRAYS))
+def make_array(request):
+    return lambda config=PCMConfig(n_lines=16, endurance=1e9): ARRAYS[
+        request.param
+    ](config)
+
+
+class TestWriteEvents:
+    """The ordered-event apply against a scalar replay of the same list."""
+
+    def test_copy_reads_source_written_earlier_in_window(self, make_array):
+        # Line 3 holds ALL1 from user write 0 when the copy runs, and the
+        # second copy reads line 7 the first one just wrote.
+        out = assert_events_match(
+            make_array,
+            [3, 5, 9],
+            [ALL1, ALL0, MIXED],
+            [(2, False, 3, 7), (2, False, 7, 11)],
+        )
+        assert out[3][7] == out[3][11] == ALL1
+
+    def test_swap_chain_through_one_pivot(self, make_array):
+        # A DFN swap chain: pivot 0 trades places with 4, then 8, then 12,
+        # with user writes between the swaps.
+        out = assert_events_match(
+            make_array,
+            [4, 1, 12, 2],
+            [MIXED, ALL1, ALL0, ALL1],
+            [(1, True, 0, 4), (1, True, 0, 8), (3, True, 0, 12)],
+            before=[(0, ALL1), (8, MIXED), (12, ALL1)],
+        )
+        assert out[3][:13:4] == [ALL0, ALL1, MIXED, MIXED]
+
+    def test_duplicate_pas(self, make_array):
+        assert_events_match(
+            make_array,
+            [4, 4, 6, 4, 6, 4],
+            [ALL1, ALL0, MIXED, ALL1, ALL0, MIXED],
+            [(2, False, 4, 8), (3, True, 4, 6), (5, False, 6, 4)],
+        )
+
+    def test_differential_writes_stay_vectorized(self, make_array, monkeypatch):
+        config = PCMConfig(n_lines=16, endurance=1e9, differential_writes=True)
+        pas = [2, 2, 3, 5, 2, 3]
+        datas = [ALL1, ALL1, ALL0, ALL1, ALL0, ALL0]
+        moves = [(1, False, 2, 5), (3, True, 2, 3), (5, False, 5, 2)]
+        scalar = make_array(config)
+        expected = outcome(
+            scalar, lambda array: scalar_events(
+                array, pas, [int(d) for d in datas], as_moves(moves)
+            )
+        )
+        array = make_array(config)
+        for method in ("write", "copy", "swap"):
+            monkeypatch.setattr(array, method, None)  # any scalar call fails
+        got = outcome(
+            array, lambda array: array.write_events(
+                np.array(pas), np.array([int(d) for d in datas], np.int8),
+                as_moves(moves),
+            )
+        )
+        assert got == expected
+        assert expected[2][2] < 5  # rewrites of identical content did not wear
+
+    @pytest.mark.parametrize("endurance", [6, 7, 8, 1e9])
+    def test_endurance_variation(self, endurance):
+        config = PCMConfig(n_lines=16, endurance=endurance)
+        rng = np.random.default_rng(int(endurance))
+        pas = rng.integers(0, 16, size=60)
+        datas = rng.integers(0, 3, size=60)
+        at = np.sort(rng.integers(0, 60, size=20))
+        moves = [
+            (int(at[m]), bool(m % 2), int(m % 16), int((m * 5 + 3) % 16))
+            for m in range(20)
+        ]
+        out = assert_events_match(
+            lambda: PCMArray(config, endurance_variation=0.3, rng=5),
+            pas, datas, moves,
+        )
+        assert (out[1] is not None) == (endurance < 1e9)
+
+    @pytest.mark.parametrize("endurance", [3, 4, 5])
+    def test_failure_mid_list(self, make_array, endurance):
+        config = PCMConfig(n_lines=16, endurance=endurance)
+        pas = [1, 2, 1, 2, 1, 2, 1, 2]
+        moves = [(1, False, 1, 9), (3, True, 1, 9), (5, True, 2, 9), (7, False, 9, 1)]
+        out = assert_events_match(
+            lambda: make_array(config), pas, [ALL1] * 8, moves
+        )
+        assert out[1] is not None
+        if endurance == 3:  # line 1's third wear is the swap before write 3
+            assert out[1][:2] == (1, 3)
+
+    def test_fault_injection_replays_scalar(self):
+        config = PCMConfig(n_lines=16, endurance=1e9, verify_fail_base=0.2)
+        pas, datas = [3, 5, 3, 9], [ALL1, ALL0, MIXED, ALL1]
+        moves = [(1, False, 3, 7), (2, True, 5, 3)]
+        calls = []
+        arrays = []
+        for fast in (True, False):
+            array = PCMArray(config, n_physical=16, fault_rng=4)
+            if fast:
+                for name in ("write", "copy", "swap"):
+                    method = getattr(array, name)
+
+                    def counted(*args, method=method, name=name):
+                        calls.append(name)
+                        return method(*args)
+
+                    setattr(array, name, counted)
+                array.write_events(
+                    np.array(pas), np.array([int(d) for d in datas], np.int8),
+                    as_moves(moves),
+                )
+            else:
+                scalar_events(array, pas, [int(d) for d in datas], as_moves(moves))
+            arrays.append(array)
+        assert calls == ["write", "copy", "write", "swap", "write", "write"]
+        assert arrays[0].retry_events == arrays[1].retry_events
+        assert arrays[0].wear.tolist() == arrays[1].wear.tolist()
+        assert arrays[0].elapsed_ns == arrays[1].elapsed_ns
 
 
 def array_state(array):

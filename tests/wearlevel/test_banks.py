@@ -1,7 +1,8 @@
 """Region banks: the vector paths against per-region scalar replays.
 
 The vector methods (``pending``/``advance``/``movement_wear``) and the
-shared chunk walk must equal what ``k`` scalar ``record_write`` steps per
+shared chunk walk (each window's movements and physical addresses in
+closed form) must equal what ``k`` scalar ``record_write`` steps per
 region do — registers, movement counters and, for :class:`SRBank`, the
 generator state, since the analytic tier draws key rotations in one
 batched call.
@@ -14,7 +15,13 @@ import numpy as np
 import pytest
 
 from repro.campaign.tasks import build_scheme
-from repro.wearlevel.base import spread_even, spread_exact, walk_windows
+from repro.wearlevel.base import (
+    OuterLevel,
+    SwapMove,
+    spread_even,
+    spread_exact,
+    walk_windows,
+)
 from repro.wearlevel.security_refresh import SRBank
 from repro.wearlevel.startgap import StartGapBank
 
@@ -106,75 +113,73 @@ class TestSRBank:
         np.testing.assert_array_equal(wear, [1.0] * 8 + [0.0] * 8)
 
 
+#: The movement the test's outer level makes at each trigger.
+OUTER_MOVE = SwapMove(pa_a=-2, pa_b=-3)
+SPARE = 999
+
+
 def walk_chunk(bank, twin, chunk, region_of, outer_interval, shift):
     """Drive :func:`walk_windows` over ``chunk`` like ``write_chunk`` does
-    and check each run against a scalar replay of the same writes on
+    and check each window against a scalar replay of the same writes on
     ``twin``.
 
     ``region_of[(la + shift[0]) % size]`` is a write's region (-1: counted
-    by no region); an outer trigger every ``outer_interval`` writes bumps
-    ``shift[0]``, remapping every write's region, like an outer movement.
-    Returns the regions of the inner triggers and the number of outer
-    triggers met as boundary writes.
+    by no region, physical line ``SPARE``); an outer trigger every
+    ``outer_interval`` writes bumps ``shift[0]``, remapping every write's
+    region, like an outer movement, and moves ``OUTER_MOVE``.  Returns
+    the regions of the inner movements and the number of outer triggers.
     """
     lines = region_of.size
-    outer = {"bank": 0, "twin": 0}
-
-    def locate(las):
-        return region_of[(las + shift[0]) % lines], las % bank.size
-
-    def translate(regions, locals_):
-        return np.where(regions >= 0, bank.translate_many(regions, locals_), -1)
-
-    def outer_remaining():
-        return outer_interval - outer["bank"] % outer_interval
+    outer = {"bank": 0, "twin": 0, "fired": 0}
 
     def region(la):
         return int(region_of[(la + shift[0]) % lines])
 
-    inner_fired, outer_fired = [], 0
+    def locate(lo, hi):
+        las = chunk[lo:hi]
+        return region_of[(las + shift[0]) % lines], las % bank.size
+
+    def step():
+        shift[0] += 1
+        outer["fired"] += 1
+        return OUTER_MOVE
+
+    def count(k):
+        outer["bank"] += k
+
+    level = None
+    if outer_interval is not None:
+        level = OuterLevel(outer_interval, lambda: outer["bank"], step, count)
+    inner_fired = []
     pos = 0
-    for pas, n in walk_windows(
-        bank,
-        chunk,
-        locate,
-        translate,
-        None if outer_interval is None else outer_remaining,
-    ):
-        expected = []
-        for la in chunk[pos : pos + n].tolist():
+    for window in walk_windows(bank, chunk, locate, level, spare_pa=SPARE):
+        n = window.pas.size
+        expected_pas, expected_moves = [], []
+        for i, la in enumerate(chunk[pos : pos + n].tolist()):
             outer["twin"] += 1
-            assert outer_interval is None or outer["twin"] % outer_interval
+            if outer_interval is not None and outer["twin"] % outer_interval == 0:
+                assert i == 0, "an outer trigger starts its window"
+                expected_moves.append((0, True, OUTER_MOVE.pa_a, OUTER_MOVE.pa_b))
             r = region(la)
             if r >= 0:
-                assert twin.record_write(r) is None
-                assert twin.write_count[r] % twin.remap_interval
-            expected.append(twin.translate(r, la % twin.size) if r >= 0 else -1)
-        np.testing.assert_array_equal(pas, expected)
-        np.testing.assert_array_equal(bank.write_count, twin.write_count)
-        outer["bank"] += n
+                move = twin.record_write(r)
+                if move is not None:
+                    inner_fired.append(r)
+                    if isinstance(move, SwapMove):
+                        expected_moves.append((i, True, move.pa_a, move.pa_b))
+                    else:
+                        expected_moves.append((i, False, move.src, move.dst))
+            expected_pas.append(twin.translate(r, la % twin.size) if r >= 0 else SPARE)
+        np.testing.assert_array_equal(window.pas, expected_pas)
+        got = list(zip(*(column.tolist() for column in window.moves)))
+        assert got == expected_moves
+        window.commit(n)
+        names = SG_REGISTERS if isinstance(bank, StartGapBank) else SR_REGISTERS
+        assert_same_registers(bank, twin, names)
         pos += n
-        if pos == chunk.size:
-            continue  # the walk must end here
-        # The boundary write, scalar on both: an outer trigger, an inner
-        # trigger, or both.
-        la = int(chunk[pos])
-        outer["bank"] += 1
-        outer["twin"] += 1
-        fired = outer_interval is not None and outer["bank"] % outer_interval == 0
-        if fired:
-            outer_fired += 1
-            shift[0] += 1
-        r = region(la)
-        if r >= 0:
-            assert (bank.record_write(r) is None) == (twin.record_write(r) is None)
-            if twin.write_count[r] % twin.remap_interval == 0:
-                inner_fired.append(r)
-                fired = True
-        assert fired, "a boundary write must trigger a remap"
-        pos += 1
     assert pos == chunk.size
-    return inner_fired, outer_fired
+    assert level is None or outer["bank"] == outer["twin"]
+    return inner_fired, outer["fired"]
 
 
 class TestWalkWindows:
@@ -234,24 +239,26 @@ class TestWalkWindows:
     "name", ["rbsg", "multiway-sr", "two-level-sr", "security-rbsg", "start-gap"]
 )
 def test_consume_chunk_is_the_first_run(name):
-    """``consume_chunk`` yields ``chunk_runs``' first run and leaves the
-    scheme in the same state, including right before a trigger (n == 0)."""
+    """``consume_chunk`` counts the writes of ``chunk_runs``' first window
+    before its first movement: they move nothing, translate as on the
+    scalar path, and leave the scheme in the scalar state (including
+    ``n == 0`` right before a movement or an outer trigger)."""
     scheme = build_scheme(name, 64, 5, {"interval": 3, "regions": 4})
+    twin = copy.deepcopy(scheme)
     rng = np.random.default_rng(5)
     seen_empty = False
     for _ in range(200):
         las = rng.integers(0, 64, size=int(rng.integers(0, 12)))
-        twin = copy.deepcopy(scheme)
         pas, n = scheme.consume_chunk(las)
-        runs = twin.chunk_runs(las)
-        first = next(runs, (np.empty(0, dtype=np.int64), 0))
-        runs.close()
-        assert n == first[1]
-        np.testing.assert_array_equal(pas, first[0])
+        expected = []
+        for la in las[:n].tolist():
+            assert twin.record_write(la) == []
+            expected.append(twin.translate(la))
+        np.testing.assert_array_equal(pas, expected)
         assert pickle.dumps(scheme) == pickle.dumps(twin)
         seen_empty |= n == 0 and las.size > 0
-        if n < las.size:  # the boundary write, scalar, as the controller does
-            scheme.record_write(int(las[n]))
+        if n < las.size:  # the next write, scalar on both
+            assert scheme.record_write(int(las[n])) == twin.record_write(int(las[n]))
     assert seen_empty
 
 

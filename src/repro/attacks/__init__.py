@@ -1,9 +1,10 @@
 """Malicious write-stream attacks against PCM wear leveling.
 
 All attacks drive a :class:`~repro.sim.memory_system.MemoryController`
-through its public ``write`` interface and observe nothing but the returned
-latencies — the same threat model as the paper (compromised OS, caches
-bypassed, no knowledge of randomizer/remapping keys).
+through its public ``write`` / ``write_chunk`` interface and observe nothing
+but the returned latencies, one per write — the same threat model as the
+paper (compromised OS, caches bypassed, no knowledge of randomizer/remapping
+keys).
 
 * :mod:`repro.attacks.raa` — Repeated Address Attack,
 * :mod:`repro.attacks.bpa` — Birthday Paradox Attack,

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.attacks.base import AttackResult
 from repro.pcm.array import LineFailure
 from repro.pcm.timing import ALL1, LineData
@@ -56,21 +58,26 @@ class BirthdayParadoxAttack:
         return max(1, (n_lines // regions) * interval)
 
     def run(self, max_writes: int = 100_000_000) -> AttackResult:
-        """Hammer random addresses until a line fails or the budget ends."""
+        """Hammer random addresses until a line fails or the budget ends.
+
+        Each dwell burst is one ``write_chunk``: bit-identical to one
+        ``write`` per write, with the same RNG draws.
+        """
         n_lines = self.controller.scheme.n_lines
+        datas = np.full(self.dwell_writes, int(self.data), dtype=np.int8)
         writes = 0
         try:
             while writes < max_writes:
                 target = int(self._rng.integers(0, n_lines))
                 burst = min(self.dwell_writes, max_writes - writes)
-                for _ in range(burst):
-                    # reprolint: disable=REP002 wear attack; timing unused
-                    self.controller.write(target, self.data)
-                    writes += 1
+                las = np.full(burst, target, dtype=np.int64)
+                _ = self.controller.write_chunk(las, datas[:burst])
+                writes += burst
         except LineFailure as failure:
+            assert failure.chunk_index is not None
             return AttackResult(
                 attack=self.name,
-                user_writes=writes + 1,
+                user_writes=writes + failure.chunk_index + 1,
                 elapsed_ns=self.controller.elapsed_ns,
                 failed=True,
                 failed_pa=failure.pa,

@@ -1,8 +1,8 @@
 """Latency observation helper — the attacker's entire view of the system.
 
-:class:`LatencyOracle` wraps a controller and exposes ``extra_latency``:
-the observed latency minus the known baseline cost of the attacker's own
-write.  Any positive remainder is remapping work the controller did on the
+:class:`LatencyOracle` wraps a controller and exposes ``extra_latency``
+per write, one write at a time or a chunk at a time: the observed latency
+minus the known baseline cost of the attacker's own write.  Any positive remainder is remapping work the controller did on the
 side, and its magnitude classifies the remapped data (Fig. 4):
 
 ================================  ===========================
@@ -18,6 +18,9 @@ SR swap ALL-1 / ALL-1             2*125 + 2*1000 = 2250
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro.pcm.array import LineFailure
 from repro.pcm.timing import ALL0, ALL1, LineData
 from repro.sim.memory_system import MemoryController
 
@@ -43,6 +46,26 @@ class LatencyOracle:
         observed = self.controller.write(la, data)
         self.user_writes += 1
         return observed - self.controller.baseline_write_latency(data)
+
+    def write_many(self, las: np.ndarray, datas: np.ndarray) -> np.ndarray:
+        """Write a chunk; return each write's extra latency.
+
+        One ``controller.write_chunk`` that reads out every write's
+        latency, so the attacker observes exactly what as many
+        :meth:`write` calls would.  On a
+        :class:`~repro.pcm.array.LineFailure` only the writes before the
+        failing one are counted, as with :meth:`write`.
+        """
+        datas = np.asarray(datas, dtype=np.int8)
+        observed = np.empty(datas.size)
+        try:
+            _ = self.controller.write_chunk(las, datas, out=observed)
+        except LineFailure as failure:
+            assert failure.chunk_index is not None
+            self.user_writes += failure.chunk_index
+            raise
+        self.user_writes += int(datas.size)
+        return observed - self.controller.array.timing.latency_table[datas]
 
     def matches(self, extra_ns: float, reference_ns: float) -> bool:
         """Is an observed extra latency the given remap class?"""

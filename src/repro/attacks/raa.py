@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from repro.attacks.base import AttackResult
-from repro.pcm.array import LineFailure
 from repro.pcm.timing import ALL1, LineData
+from repro.sim.engine import run_trace_fast
+from repro.sim.fastforward import TraceSpec
 from repro.sim.memory_system import MemoryController
 
 
@@ -29,24 +30,22 @@ class RepeatedAddressAttack:
         self.data = data
 
     def run(self, max_writes: int = 100_000_000) -> AttackResult:
-        """Hammer the target until a line fails or the budget runs out."""
-        writes = 0
-        try:
-            while writes < max_writes:
-                # reprolint: disable=REP002 wear attack; timing unused
-                self.controller.write(self.target_la, self.data)
-                writes += 1
-        except LineFailure as failure:
-            return AttackResult(
-                attack=self.name,
-                user_writes=writes + 1,
-                elapsed_ns=self.controller.elapsed_ns,
-                failed=True,
-                failed_pa=failure.pa,
-            )
+        """Hammer the target until a line fails or the budget runs out.
+
+        RAA never reads a latency, so it runs on the chunk engine as an
+        ``raa`` trace: bit-identical to one ``write`` per write.
+        """
+        spec = TraceSpec(
+            kind="raa",
+            n_lines=self.controller.config.n_lines,
+            data=self.data,
+            target=self.target_la,
+        )
+        result = run_trace_fast(self.controller, spec, max_writes=max_writes)
         return AttackResult(
             attack=self.name,
-            user_writes=writes,
-            elapsed_ns=self.controller.elapsed_ns,
-            failed=False,
+            user_writes=result.user_writes,
+            elapsed_ns=result.elapsed_ns,
+            failed=result.failed,
+            failed_pa=result.failed_pa,
         )

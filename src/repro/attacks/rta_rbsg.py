@@ -23,12 +23,20 @@ resides there, wearing a single line with nearly every write:
    ``L_i`` leaks bit ``j`` of ``L_{i-t}`` through its copy latency.
 3. **Wear out**: all attacker writes land on one physical slot; when the
    mirror shows the resident departing, switch to the next ``L_{i-t}``.
+
+The attacker writes in chunks (:meth:`LatencyOracle.write_many`), still
+seeing every write's latency: the mirror knows where each movement falls,
+so a chunk never runs past a movement whose latency decides what to write
+next.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.attacks.base import AttackResult
 from repro.attacks.oracle import LatencyOracle
@@ -47,6 +55,7 @@ class _Movement:
     dst: int  #: region-local slot it was copied to
     pre_start: int  #: start register before the movement
     pre_gap: int  #: gap register before the movement
+    at: int  #: index of the write that triggered it, among those counted
 
 
 class _RegionMirror:
@@ -66,16 +75,35 @@ class _RegionMirror:
 
     def count_write(self) -> Optional[_Movement]:
         """Account one write known to land in the region."""
-        self.count += 1
-        if self.count % self.psi != 0:
-            return None
-        pre_start, pre_gap = self.start, self.gap
-        src = (self.gap - 1) % (self.n + 1)
-        dst = self.gap
-        self.gap = src
-        if self.gap == self.n:
-            self.start = (self.start + 1) % self.n
-        return _Movement(src=src, dst=dst, pre_start=pre_start, pre_gap=pre_gap)
+        moves = self.count_writes(1)
+        return moves[0] if moves else None
+
+    def count_writes(self, k: int) -> List[_Movement]:
+        """Account ``k`` writes known to land in the region; return the gap
+        movements they trigger, in order."""
+        moves = []
+        at = self.writes_to_movement() - 1
+        while at < k:
+            pre_start, pre_gap = self.start, self.gap
+            self.gap = (self.gap - 1) % (self.n + 1)
+            if self.gap == self.n:
+                self.start = (self.start + 1) % self.n
+            moves.append(_Movement(self.gap, pre_gap, pre_start, pre_gap, at))
+            at += self.psi
+        self.count += k
+        return moves
+
+    def writes_to_movement(self) -> int:
+        """Writes up to and including the one that triggers the next gap
+        movement."""
+        return self.psi - self.count % self.psi
+
+    def writes_until_source(self, slot: int) -> int:
+        """Writes up to and including the one whose gap movement copies
+        from ``slot``: each movement copies from the slot below the gap and
+        leaves the gap there."""
+        later = (self.gap - 1 - slot) % (self.n + 1)
+        return self.writes_to_movement() + later * self.psi
 
     def slot_to_local_ia(self, slot: int, start: int, gap: int) -> int:
         """Invert the Start-Gap translation under a given register state."""
@@ -125,6 +153,22 @@ class RBSGTimingAttack:
     def _bit_pattern(self, la: int, j: int) -> LineData:
         return ALL1 if (la >> j) & 1 else ALL0
 
+    def _hammer(
+        self, la: int, data: LineData, k: int
+    ) -> Tuple[np.ndarray, List[_Movement]]:
+        """Write ``la`` ``k`` times in one chunk; return each write's extra
+        latency and the movements the mirror counts among the writes."""
+        extra = self.oracle.write_many(
+            np.full(k, la, dtype=np.int64), np.full(k, int(data), dtype=np.int8)
+        )
+        return extra, self.mirror.count_writes(k)
+
+    def _offset(self, move: _Movement) -> int:
+        """Offset ``t`` below the target of the line a movement carries."""
+        carried = self.mirror.slot_to_local_ia(move.src, move.pre_start, move.pre_gap)
+        assert self.target_local_ia is not None
+        return (self.target_local_ia - carried) % self.region_size
+
     def _sweep(self, bit: Optional[int]) -> None:
         """Write every logical address (step 1 / step 4 labelling pass).
 
@@ -133,12 +177,12 @@ class RBSGTimingAttack:
         sweep are discarded (movements of other regions pollute them), but
         the region counter advances by exactly ``region_size`` writes.
         """
-        for la in range(self.n_lines):
-            data = ALL0 if bit is None else self._bit_pattern(la, bit)
-            # reprolint: disable=REP002 labeling write; latency unused
-            self.oracle.write(la, data)
-        for _ in range(self.region_size):
-            self.mirror.count_write()
+        las = np.arange(self.n_lines, dtype=np.int64)
+        datas = np.full(self.n_lines, int(ALL0), dtype=np.int8)
+        if bit is not None:
+            datas[(las >> bit) & 1 == 1] = int(ALL1)
+        _ = self.oracle.write_many(las, datas)
+        self.mirror.count_writes(self.region_size)
 
     # ----------------------------------------------------------- phase A
 
@@ -147,59 +191,76 @@ class RBSGTimingAttack:
 
         Returns the region-local intermediate address of the target line
         (the attacker's coordinate origin for everything that follows).
+        Each chunk ends at the next mirrored movement, whose latency
+        decides whether to go on.
         """
         start_writes = self.oracle.user_writes
         self._sweep(None)  # step 1: ALL-0 everywhere
         budget = max_writes or (self.region_size + 2) * self.remap_interval
-        for _ in range(budget):
-            extra = self.oracle.write(self.target_la, ALL1)  # steps 2-3
-            info = self.mirror.count_write()
-            if info is not None and self.oracle.matches(extra, self.oracle.copy_all1):
-                # The only ALL-1 line is the target: this movement carried it.
-                self.target_local_ia = self.mirror.slot_to_local_ia(
-                    info.src, info.pre_start, info.pre_gap
-                )
-                self.detection_writes += self.oracle.user_writes - start_writes
-                return self.target_local_ia
+        written = 0
+        while written < budget:  # steps 2-3
+            k = min(self.mirror.writes_to_movement(), budget - written)
+            extra, moves = self._hammer(self.target_la, ALL1, k)
+            written += k
+            for info in moves:
+                if self.oracle.matches(extra[info.at], self.oracle.copy_all1):
+                    # The only ALL-1 line is the target: this movement carried it.
+                    self.target_local_ia = self.mirror.slot_to_local_ia(
+                        info.src, info.pre_start, info.pre_gap
+                    )
+                    self.detection_writes += self.oracle.user_writes - start_writes
+                    return self.target_local_ia
         raise RuntimeError("synchronization failed: no ALL-1 remap observed")
 
     # ----------------------------------------------------------- phase B
 
+    def _pass_writes(self, needed: Set[int], budget: int) -> int:
+        """Writes until the movement that carries the last of the ``needed``
+        offsets (at most ``budget``), walked on a copy of the mirror."""
+        plan = copy.copy(self.mirror)
+        left = set(needed)
+        writes = 0
+        while left and writes < budget:
+            step = plan.writes_to_movement()
+            (move,) = plan.count_writes(step)
+            left.discard(self._offset(move))
+            writes += step
+        return min(writes, budget)
+
     def detect_sequence(self, n: int) -> List[int]:
-        """Steps 4-6: recover ``[L_{i-1}, ..., L_{i-n}]`` bit by bit."""
-        if self.target_local_ia is None:
-            self.synchronize()
+        """Steps 4-6: recover ``[L_{i-1}, ..., L_{i-n}]`` bit by bit.
+
+        Each address bit's hammering is one chunk: which offset each
+        movement carries is known before writing, so the chunk ends at
+        the movement that carries the last offset still needed, and its
+        movements are classified in order afterwards.  So an
+        unclassifiable copy latency raises its ``RuntimeError`` only after
+        the rest of that pass has been written, where a write-by-write
+        attack would stop at the bad write.
+        """
         if not 1 <= n <= self.region_size - 1:
             raise ValueError(f"n must be in [1, {self.region_size - 1}]")
+        if self.target_local_ia is None:
+            self.synchronize()
         start_writes = self.oracle.user_writes
         recovered = [0] * (n + 1)  # index t in [1, n]
+        budget = (self.region_size + 2) * self.remap_interval * 2
         for j in range(self.n_bits):
             self._sweep(j)  # step 4: label every line with its LA's bit j
             needed = set(range(1, n + 1))
             # Step 5: hammer the target; each movement leaks one line's bit.
-            budget = (self.region_size + 2) * self.remap_interval * 2
-            for _ in range(budget):
-                if not needed:
-                    break
-                extra = self.oracle.write(
-                    self.target_la, self._bit_pattern(self.target_la, j)
-                )
-                info = self.mirror.count_write()
-                if info is None:
-                    _ = extra  # no remap fired: latency carries no signal
-                    continue
-                carried_ia = self.mirror.slot_to_local_ia(
-                    info.src, info.pre_start, info.pre_gap
-                )
-                t = (self.target_local_ia - carried_ia) % self.region_size
+            k = self._pass_writes(needed, budget)
+            data = self._bit_pattern(self.target_la, j)
+            extra, moves = self._hammer(self.target_la, data, k)
+            for info in moves:
+                t = self._offset(info)
                 if t not in needed:
-                    _ = extra  # offset already recovered: observation is redundant
-                    continue
-                if self.oracle.matches(extra, self.oracle.copy_all1):
+                    continue  # offset already recovered: observation is redundant
+                if self.oracle.matches(extra[info.at], self.oracle.copy_all1):
                     recovered[t] |= 1 << j
-                elif not self.oracle.matches(extra, self.oracle.copy_all0):
+                elif not self.oracle.matches(extra[info.at], self.oracle.copy_all0):
                     raise RuntimeError(
-                        f"unclassifiable remap latency {extra:.1f} ns"
+                        f"unclassifiable remap latency {extra[info.at]:.1f} ns"
                     )
                 needed.discard(t)
             if needed:
@@ -221,7 +282,8 @@ class RBSGTimingAttack:
         rotate through ``[L_i] + sequence`` as the gap sweeps past.  When the
         *whole* region chain was recovered (``len(sequence) == N/R - 1``),
         the rotation is cyclic (``L_{i-N/R} == L_i``) and the attack runs
-        until failure; a partial chain ends when it is exhausted.
+        until failure; a partial chain ends when it is exhausted.  Each
+        resident is one chunk, up to the movement that carries it away.
         """
         if self.target_local_ia is None:
             raise RuntimeError("call synchronize()/detect_sequence() first")
@@ -232,11 +294,11 @@ class RBSGTimingAttack:
         writes = 0
         try:
             while writes < max_writes:
-                # reprolint: disable=REP002 hammering write; timing unused
-                self.oracle.write(residents[idx], ALL1)
-                writes += 1
-                info = self.mirror.count_write()
-                if info is not None and info.src == target_slot:
+                due = self.mirror.writes_until_source(target_slot)
+                k = min(due, max_writes - writes)
+                _ = self._hammer(residents[idx], ALL1, k)
+                writes += k
+                if k == due:
                     # Resident departed; the next line arrives one movement
                     # later — start hammering it immediately (its current
                     # slot is adjacent, costing <= one interval of slack).

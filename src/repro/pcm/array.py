@@ -140,7 +140,11 @@ class OrderedWrites:
         return self.write_events(pas, datas)
 
     def write_events(
-        self, pas: np.ndarray, datas: np.ndarray, moves: Moves = NO_MOVES
+        self,
+        pas: np.ndarray,
+        datas: np.ndarray,
+        moves: Moves = NO_MOVES,
+        out: Optional[np.ndarray] = None,
     ) -> float:
         """Apply user writes and the remap movements between them in order.
 
@@ -163,6 +167,13 @@ class OrderedWrites:
         movements, the list replays through the scalar methods.
         ``pas`` and ``datas`` of different lengths raise ``ValueError``
         before any state changes.
+
+        ``out``, a float64 array of ``len(pas)``, receives each user
+        write's latency with that of the movements that run before it:
+        what the scalar calls for that write and its movements return in
+        total.  After a :class:`LineFailure` only the entries before
+        ``chunk_index`` are set.  Without ``out`` nothing per write is
+        computed.
         """
         pas = np.ascontiguousarray(pas, dtype=np.int64)
         datas = np.ascontiguousarray(datas, dtype=np.int8)
@@ -171,13 +182,15 @@ class OrderedWrites:
             raise ValueError(
                 f"chunk has {n} addresses but {datas.size} data values"
             )
+        if out is not None and out.shape != (n,):
+            raise ValueError(f"out has shape {out.shape}, expected ({n},)")
         at = moves[0]
         if n + int(at.size) == 0:
             return 0.0
         if self.faults is not None or n == 1:
             # Fault draws must happen per write, in order; and one write
             # with its movements costs less through the scalar calls.
-            return self._replay(pas, datas, moves)
+            return self._replay(pas, datas, moves, out)
         plan = EventPlan(self, pas, datas, moves)
         wear_pas = plan.wear_pas()
         # Cheap screen: even if every write landed on the most worn line
@@ -193,6 +206,9 @@ class OrderedWrites:
             if plan.move_dst.size:
                 ns += float(table[plan.move_value].sum())
                 ns += plan.move_dst.size * self.timing.read_latency()
+            if out is not None:
+                out[:] = table[datas]
+                plan.charge_moves(out)
             self.elapsed_ns += ns
             lines, values = plan.final
             if lines:
@@ -202,27 +218,35 @@ class OrderedWrites:
             self.total_writes += int(wear_pas.size)
             return ns
         plan.lines()
+        if out is not None:
+            out[:] = 0.0
         stop = plan.first_failure() if check else None
         if stop is None:
-            return self._apply(plan, 0, plan.size)
+            return self._apply(plan, 0, plan.size, out)
         lo, hi, event, owner = stop
-        latency = self._apply(plan, 0, lo)
+        latency = self._apply(plan, 0, lo, out)
         try:
-            latency += self._scalar_event(*event)
+            ns = self._scalar_event(*event)
         except LineFailure as failure:
             failure.chunk_index = owner
             raise
-        return latency + self._apply(plan, hi, plan.size)
+        if out is not None:
+            out[owner] += ns
+        return latency + ns + self._apply(plan, hi, plan.size, out)
 
-    def _apply(self, plan: EventPlan, lo: int, hi: int) -> float:
+    def _apply(
+        self, plan: EventPlan, lo: int, hi: int, out: Optional[np.ndarray]
+    ) -> float:
         """Line writes ``[lo, hi)`` of a flattened ``plan``, with their
-        events' reads."""
+        events' reads; their latency is added to ``out`` when given."""
         if hi <= lo:
             return 0.0
         part = slice(lo, hi)
         reads = plan.reads_between(lo, hi)
         ns = float(np.sum(plan.latency[part])) + reads * self.timing.read_latency()
         self.elapsed_ns += ns
+        if out is not None:
+            plan.charge_lines(out, lo, hi)
         dst = plan.dst[part]
         wear_pas = dst if plan.wears is None else dst[plan.wears[part]]
         self._store(wear_pas, dst, plan.value[part])
@@ -236,23 +260,33 @@ class OrderedWrites:
             return self.copy(x, y)
         return self.swap(x, y)
 
-    def _replay(self, pas: np.ndarray, datas: np.ndarray, moves: Moves) -> float:
+    def _replay(
+        self,
+        pas: np.ndarray,
+        datas: np.ndarray,
+        moves: Moves,
+        out: Optional[np.ndarray],
+    ) -> float:
         """Scalar replay of an event list; tags failures with the index of
         the user write their event belongs to."""
         at, swap, a, b = (column.tolist() for column in moves)
         latency = 0.0
         m = 0
         for i in range(pas.size):
+            ns = 0.0
             try:
                 while m < len(at) and at[m] <= i:
                     kind = "swap" if swap[m] else "copy"
-                    latency += self._scalar_event(kind, a[m], b[m])
+                    ns += self._scalar_event(kind, a[m], b[m])
                     m += 1
-                latency += self.write(int(pas[i]), LineData(int(datas[i])))
+                ns += self.write(int(pas[i]), LineData(int(datas[i])))
             except LineFailure as failure:
                 if failure.chunk_index is None:
                     failure.chunk_index = i
                 raise
+            if out is not None:
+                out[i] = ns
+            latency += ns
         return latency
 
 

@@ -22,7 +22,10 @@ possible, or differential writes make latency depend on the data each
 write overwrites, :meth:`EventPlan.lines` flattens the list into its line
 writes in execution order: the old data of each comes from the previous
 write to its line, and a running count per line finds the first line write
-that reaches its endurance (:meth:`EventPlan.first_failure`).
+that reaches its endurance (:meth:`EventPlan.first_failure`).  Asked for
+each user write's latency, the plan adds every line write's latency, a
+movement's reads included, to the user write it belongs to
+(:meth:`EventPlan.charge_moves`, :meth:`EventPlan.charge_lines`).
 
 :class:`~repro.pcm.array.OrderedWrites` applies a plan to either array.
 """
@@ -113,14 +116,25 @@ class EventPlan:
             return self.pas
         return np.concatenate((self.pas, self.move_dst))
 
+    def charge_moves(self, out: np.ndarray) -> None:
+        """Add each movement's latency, reads included, to ``out`` at the
+        user write it runs before."""
+        if not self.move_dst.size:
+            return
+        timing = self.array.timing
+        cost = timing.latency_table[self.move_value] + timing.read_latency()
+        owner = np.repeat(self.moves[0], 1 + self.moves[1])
+        out += np.bincount(owner, weights=cost, minlength=out.size)
+
     # ------------------------------------------------- flattened in order
 
     def lines(self) -> None:
         """Flatten the list into its line writes in execution order.
 
-        Sets ``size`` (line writes ``K``), ``dst``/``value``/``latency``
-        and ``wears`` (``None``: every write wears) per line write, and the
-        line-write index of each user write and movement.
+        Sets ``size`` (line writes ``K``), ``dst``/``value``/``latency``,
+        ``moved`` (a movement's write) and ``wears`` (``None``: every write
+        wears) per line write, and the line-write index of each user write
+        and movement.
         """
         array = self.array
         timing = array.timing
@@ -135,7 +149,7 @@ class EventPlan:
         self.value = np.empty(self.size, dtype=np.int8)
         self.dst[self.user_line] = self.pas
         self.value[self.user_line] = self.datas
-        moved = np.ones(self.size, dtype=bool)
+        self.moved = moved = np.ones(self.size, dtype=bool)
         moved[self.user_line] = False
         self.dst[moved] = self.move_dst
         self.value[moved] = self.move_value
@@ -162,6 +176,14 @@ class EventPlan:
         old = np.empty(self.size, dtype=np.int8)
         old[order] = old_sorted
         return old
+
+    def charge_lines(self, out: np.ndarray, lo: int, hi: int) -> None:
+        """Add the latency of line writes ``[lo, hi)``, a movement's read
+        included, to ``out`` at the user write each belongs to.  Needs
+        :meth:`lines`."""
+        owner = np.searchsorted(self.user_line, np.arange(lo, hi))
+        cost = self.latency[lo:hi] + self.array.timing.read_latency() * self.moved[lo:hi]
+        out += np.bincount(owner, weights=cost, minlength=out.size)
 
     def reads_between(self, lo: int, hi: int) -> int:
         """Line reads of the movements whose writes start in ``[lo, hi)``:

@@ -12,7 +12,8 @@ WearLeveler.chunk_runs`) and applies each, user writes and remap
 movements in order, with one ``write_events`` on the array (or, for a
 scheme without a closed-form walk, a write that may remap through
 ``write``), so a whole chunk is one call and bit-identical to as many
-``write`` calls.
+``write`` calls.  Given an ``out`` array it also reports each write's
+latency, which is how the attacks observe a chunk.
 """
 
 from __future__ import annotations
@@ -126,7 +127,10 @@ class MemoryController:
         return latency
 
     def write_chunk(
-        self, las: np.ndarray, datas: np.ndarray
+        self,
+        las: np.ndarray,
+        datas: np.ndarray,
+        out: Optional[np.ndarray] = None,
     ) -> Tuple[float, int]:
         """Write a whole chunk; bit-identical to one :meth:`write` per entry.
 
@@ -140,6 +144,13 @@ class MemoryController:
         ``chunk_index``.  The base walk's
         :data:`~repro.wearlevel.base.SCALAR_WRITE` windows go through
         :meth:`write` instead.  Returns ``(latency_ns, len(las))``.
+
+        ``out``, a float64 array of ``len(las)``, receives each write's
+        observed latency, exactly what :meth:`write` returns for it (its
+        remap movements included): the per-write side channel.  After a
+        :class:`~repro.pcm.array.LineFailure` only the entries before
+        ``chunk_index`` are set.  Without ``out`` nothing per write is
+        computed.
         """
         las = np.asarray(las, dtype=np.int64)
         datas = np.asarray(datas)
@@ -148,6 +159,8 @@ class MemoryController:
             raise ValueError(
                 f"chunk has {size} addresses but {datas.size} data values"
             )
+        if out is not None and out.shape != (size,):
+            raise ValueError(f"out has shape {out.shape}, expected ({size},)")
         if size and (int(las.min()) < 0 or int(las.max()) >= self.config.n_lines):
             bad = las[(las < 0) | (las >= self.config.n_lines)][0]
             self._check_la(int(bad))
@@ -156,16 +169,22 @@ class MemoryController:
         for window in self.scheme.chunk_runs(las):
             if window is SCALAR_WRITE:
                 try:
-                    latency += self.write(int(las[pos]), LineData(int(datas[pos])))
+                    ns = self.write(int(las[pos]), LineData(int(datas[pos])))
                 except LineFailure as failure:
                     failure.chunk_index = pos
                     raise
+                if out is not None:
+                    out[pos] = ns
+                latency += ns
                 pos += 1
                 continue
             n = int(window.pas.size)
             try:
                 latency += self.array.write_events(
-                    window.pas, datas[pos : pos + n], window.moves
+                    window.pas,
+                    datas[pos : pos + n],
+                    window.moves,
+                    None if out is None else out[pos : pos + n],
                 )
             except LineFailure as failure:
                 assert failure.chunk_index is not None

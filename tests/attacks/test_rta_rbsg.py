@@ -100,6 +100,7 @@ class TestDetectSequence:
             attack.detect_sequence(0)
         with pytest.raises(ValueError):
             attack.detect_sequence(10**6)
+        assert attack.controller.total_writes == 0  # checked before any write
 
 
 class TestWearOut:

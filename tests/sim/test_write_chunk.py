@@ -67,23 +67,28 @@ def run_twins(name, n_lines, interval, endurance, seed, writes=4000):
     return outcomes
 
 
-@pytest.mark.parametrize("name, n_lines", cases(REGION_SCHEMES + ["start-gap"]))
+@pytest.mark.parametrize(
+    "name, n_lines", cases(REGION_SCHEMES + ["start-gap", "sr"])
+)
 def test_chunk_equals_scalar_writes(name, n_lines):
     """One call writes the whole chunk: the latency is the sum of the
-    scalar writes' latencies and every write is counted."""
+    scalar writes' latencies, ``out`` holds each of them, and every write
+    is counted.  The chunk spans more than one Security Refresh key round,
+    so the SR schemes swap inside it."""
     rng = np.random.default_rng(4)
-    las = rng.integers(0, n_lines, size=700)
-    datas = rng.integers(0, len(LineData), size=700).astype(np.int8)
+    las = rng.integers(0, n_lines, size=2500)
+    datas = rng.integers(0, len(LineData), size=2500).astype(np.int8)
     config = PCMConfig(n_lines=n_lines, endurance=1e9)
     chunked, scalar = (
         MemoryController(build_scheme(name, n_lines, 4, {"interval": 4}), config)
         for _ in range(2)
     )
-    latency, n = chunked.write_chunk(las, datas)
-    expected = sum(
-        scalar.write(int(la), LineData(int(d))) for la, d in zip(las, datas)
-    )
-    assert (latency, n) == (expected, 700)
+    out = np.full(2500, np.nan)
+    latency, n = chunked.write_chunk(las, datas, out=out)
+    expected = [scalar.write(int(la), LineData(int(d))) for la, d in zip(las, datas)]
+    assert (latency, n) == (sum(expected), 2500)
+    assert out.tolist() == expected
+    assert len(set(expected)) > 4  # writes with movements of several classes
     assert chunked.total_writes == scalar.total_writes
     assert np.array_equal(chunked.array.wear, scalar.array.wear)
 
@@ -225,20 +230,25 @@ def test_key_rotation_inside_chunk():
 # ------------------------------------------------- ordered-event apply
 
 
-def scalar_events(array, pas, datas, moves):
-    """What ``controller.write`` does: each movement, then its user write."""
+def scalar_events(array, pas, datas, moves, out=None):
+    """What ``controller.write`` does: each movement, then its user write;
+    ``out`` gets each write's latency, its movements' included."""
     at, swap, a, b = moves
     latency, m = 0.0, 0
     for i in range(len(pas)):
+        ns = 0.0
         try:
             while m < len(at) and at[m] <= i:
                 move = array.swap if swap[m] else array.copy
-                latency += move(int(a[m]), int(b[m]))
+                ns += move(int(a[m]), int(b[m]))
                 m += 1
-            latency += array.write(int(pas[i]), LineData(int(datas[i])))
+            ns += array.write(int(pas[i]), LineData(int(datas[i])))
         except LineFailure as failure:
             failure.chunk_index = i
             raise
+        if out is not None:
+            out[i] = ns
+        latency += ns
     return latency
 
 
@@ -251,9 +261,12 @@ def as_moves(moves):
     )
 
 
-def outcome(array, apply):
+def outcome(array, apply, n):
+    """``apply(array, out)``'s latency or failure, the array's state, and
+    the per-write latencies ``out`` holds (those before a failing write)."""
+    out = np.full(n, np.nan)
     try:
-        latency, failure = apply(array), None
+        latency, failure = apply(array, out), None
     except LineFailure as exc:
         latency = None
         failure = (exc.pa, exc.chunk_index, exc.wear, exc.total_writes, exc.elapsed_ns)
@@ -264,6 +277,7 @@ def outcome(array, apply):
         array.data.tolist(),
         array.total_writes,
         array.elapsed_ns,
+        out[: n if failure is None else failure[1]].tolist(),
     )
 
 
@@ -281,13 +295,13 @@ def assert_events_match(make, pas, datas, moves, before=()):
     moves = as_moves(moves)
     outcomes = []
     for apply in (
-        lambda array: array.write_events(pas, datas, moves),
-        lambda array: scalar_events(array, pas, datas, moves),
+        lambda array, out: array.write_events(pas, datas, moves, out),
+        lambda array, out: scalar_events(array, pas, datas, moves, out),
     ):
         array = make()
         for pa, data in before:
             array.write(pa, data)
-        outcomes.append(outcome(array, apply))
+        outcomes.append(outcome(array, apply, len(pas)))
     assert outcomes[0] == outcomes[1]
     return outcomes[0]
 
@@ -333,6 +347,17 @@ class TestWriteEvents:
             [(2, False, 4, 8), (3, True, 4, 6), (5, False, 6, 4)],
         )
 
+    def test_single_write_with_movements(self, make_array):
+        # One user write replays through the scalar calls.
+        out = assert_events_match(
+            make_array,
+            [5],
+            [MIXED],
+            [(0, True, 1, 2), (0, False, 2, 5)],
+            before=[(1, ALL1)],
+        )
+        assert out[6] == [1375.0 + 1125.0 + 1000.0]  # swap, copy, write
+
     def test_differential_writes_stay_vectorized(self, make_array, monkeypatch):
         config = PCMConfig(n_lines=16, endurance=1e9, differential_writes=True)
         pas = [2, 2, 3, 5, 2, 3]
@@ -340,18 +365,18 @@ class TestWriteEvents:
         moves = [(1, False, 2, 5), (3, True, 2, 3), (5, False, 5, 2)]
         scalar = make_array(config)
         expected = outcome(
-            scalar, lambda array: scalar_events(
-                array, pas, [int(d) for d in datas], as_moves(moves)
-            )
+            scalar, lambda array, out: scalar_events(
+                array, pas, [int(d) for d in datas], as_moves(moves), out
+            ), len(pas),
         )
         array = make_array(config)
         for method in ("write", "copy", "swap"):
             monkeypatch.setattr(array, method, None)  # any scalar call fails
         got = outcome(
-            array, lambda array: array.write_events(
+            array, lambda array, out: array.write_events(
                 np.array(pas), np.array([int(d) for d in datas], np.int8),
-                as_moves(moves),
-            )
+                as_moves(moves), out,
+            ), len(pas),
         )
         assert got == expected
         assert expected[2][2] < 5  # rewrites of identical content did not wear
@@ -391,8 +416,10 @@ class TestWriteEvents:
         moves = [(1, False, 3, 7), (2, True, 5, 3)]
         calls = []
         arrays = []
+        outs = []
         for fast in (True, False):
             array = PCMArray(config, n_physical=16, fault_rng=4)
+            out = np.full(len(pas), np.nan)
             if fast:
                 for name in ("write", "copy", "swap"):
                     method = getattr(array, name)
@@ -404,15 +431,19 @@ class TestWriteEvents:
                     setattr(array, name, counted)
                 array.write_events(
                     np.array(pas), np.array([int(d) for d in datas], np.int8),
-                    as_moves(moves),
+                    as_moves(moves), out,
                 )
             else:
-                scalar_events(array, pas, [int(d) for d in datas], as_moves(moves))
+                scalar_events(
+                    array, pas, [int(d) for d in datas], as_moves(moves), out
+                )
             arrays.append(array)
+            outs.append(out.tolist())
         assert calls == ["write", "copy", "write", "swap", "write", "write"]
         assert arrays[0].retry_events == arrays[1].retry_events
         assert arrays[0].wear.tolist() == arrays[1].wear.tolist()
         assert arrays[0].elapsed_ns == arrays[1].elapsed_ns
+        assert outs[0] == outs[1]
 
 
 def array_state(array):

@@ -172,9 +172,10 @@ def build_scheme(
 ) -> "WearLeveler":
     """Construct one wear-leveling scheme instance by short name.
 
-    Defaults match :data:`repro.experiments.SCHEME_FACTORIES` exactly;
-    ``regions`` / ``interval`` / ``outer`` / ``stages`` parameters
-    override them (the knobs ``repro simulate`` has always exposed).
+    :data:`repro.experiments.SCHEME_FACTORIES` builds every scheme with
+    these defaults; ``regions`` / ``interval`` / ``outer`` / ``stages``
+    parameters override them (the knobs ``repro simulate`` has always
+    exposed).
     """
     from repro.core.security_rbsg import SecurityRBSG
     from repro.wearlevel import (

@@ -51,7 +51,7 @@ the spare).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -96,6 +96,10 @@ class DynamicFeistelMapper:
         self.displaced_slot: Optional[int] = None
         self.round_count = 0
         self.total_movements = 0
+        # The open span's undo log (:meth:`step_span`): per step, the
+        # registers it started from and where its marks start in _marks.
+        self._log: List[Tuple[Any, ...]] = []
+        self._marks: Optional[List[int]] = None  # lines the span's steps marked
 
     # ------------------------------------------------------------- mapping
 
@@ -134,11 +138,42 @@ class DynamicFeistelMapper:
         return self._patched(las, out)
 
     def select(
-        self, las: np.ndarray, under_c: np.ndarray, under_p: np.ndarray
+        self,
+        las: np.ndarray,
+        under_c: np.ndarray,
+        under_p: np.ndarray,
+        epoch: np.ndarray,
     ) -> np.ndarray:
         """:meth:`translate_many` from the lines' encryptions under ``Kc``
-        (``under_c``) and ``Kp`` (``under_p``), computed by the caller."""
-        return self._patched(las, np.where(self.is_remapped[las], under_c, under_p))
+        (``under_c``) and ``Kp`` (``under_p``), computed by the caller,
+        each line ``las[i]`` as it stood just before step ``epoch[i]`` of
+        the open span (:meth:`step_span`; ``len(steps)``: after them all).
+
+        That is the ``isRemap`` bit without the marks of that step and
+        later ones, and the parked and displaced registers that step
+        started from.
+        """
+        remapped = self.is_remapped[las]
+        log = self._log
+        if self._marks:
+            marks = np.array(self._marks, dtype=np.int64)
+            starts = [entry[-1] for entry in log] + [marks.size]
+            step = np.repeat(np.arange(len(log)), np.diff(starts))
+            order = np.argsort(marks, kind="stable")
+            marks, step = marks[order], step[order]
+            found = np.minimum(np.searchsorted(marks, las), marks.size - 1)
+            remapped &= ~((marks[found] == las) & (step[found] >= epoch))
+        out = np.where(remapped, under_c, under_p)
+        registers = [entry[1:4] for entry in log]
+        registers.append((self.parked_la, self.displaced_la, self.displaced_slot))
+        parked, displaced, slot = (
+            np.array([-1 if r is None else r for r in column], dtype=np.int64)[epoch]
+            for column in zip(*registers)
+        )
+        out[las == parked] = self.spare_slot
+        hit = las == displaced
+        out[hit] = slot[hit]
+        return out
 
     def _patched(self, las: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out`` with the parked and displaced lines' registers applied."""
@@ -214,6 +249,55 @@ class DynamicFeistelMapper:
             return self._chain_step()
         return self._begin_cycle(self._lowest_unremapped())
 
+    def step_span(self, count: int, rotate: bool) -> List[Optional[Move]]:
+        """Pre-step up to ``count`` remap triggers; return their movements.
+
+        Stops before a trigger whose step would begin a round (rotate the
+        keys and draw from the generator) unless it is the first and
+        ``rotate`` allows it, so a draw is never rolled back.  Opens a
+        span: each step is logged for :meth:`select` and
+        :meth:`end_span` with the registers it started from (gap, parked
+        line, displaced line and slot, remapped count, total movements)
+        and the lines it marked.
+        """
+        self._log = []
+        self._marks = []
+        moves: List[Optional[Move]] = []
+        for j in range(count):
+            if self.round_complete() and (j or not rotate):
+                break
+            self._log.append(
+                (
+                    self.gap,
+                    self.parked_la,
+                    self.displaced_la,
+                    self.displaced_slot,
+                    self._n_remapped,
+                    self.total_movements,
+                    len(self._marks),
+                )
+            )
+            moves.append(self.step())
+        return moves
+
+    def end_span(self, keep: int) -> None:
+        """Close the span: keep its first ``keep`` steps and roll the
+        others back, latest first."""
+        for entry in reversed(self._log[keep:]):
+            (
+                self.gap,
+                self.parked_la,
+                self.displaced_la,
+                self.displaced_slot,
+                self._n_remapped,
+                self.total_movements,
+                first,
+            ) = entry
+            self.is_remapped[self._marks[first:]] = False
+            del self._marks[first:]
+        self._log = []
+        self._marks = None
+
     # ---- round start + first cycle: the paper's spare-parked gap walk ----
 
     def _begin_round(self) -> Optional[Move]:
@@ -288,6 +372,8 @@ class DynamicFeistelMapper:
     def _mark(self, la: int) -> None:
         self.is_remapped[la] = True
         self._n_remapped += 1
+        if self._marks is not None:
+            self._marks.append(la)
 
     def _lowest_unremapped(self) -> int:
         return int(np.argmin(self.is_remapped))

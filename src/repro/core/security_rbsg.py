@@ -35,8 +35,8 @@ from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     CopyMove,
     Move,
-    OuterLevel,
     RoundProfile,
+    Span,
     SwapMove,
     WearLeveler,
     Window,
@@ -48,6 +48,14 @@ from repro.wearlevel.startgap import StartGapBank
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.timing import TimingModel
     from repro.sim.fastforward import TraceSpec
+
+
+def _slot_ends(move: Move) -> Tuple[int, int]:
+    """A DFN movement's two IA slots: a copy's source and destination, or
+    the two slots a swap exchanges."""
+    if isinstance(move, SwapMove):
+        return move.pa_a, move.pa_b
+    return move.src, move.dst
 
 
 class SecurityRBSG(WearLeveler):
@@ -172,28 +180,32 @@ class SecurityRBSG(WearLeveler):
             *self._locate(np.asarray(las, dtype=np.int64))
         )
 
-    def _count_outer(self, writes: int) -> None:
-        self.outer_write_count += writes
-
     def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
-        """Windows start at the outer DFN movement; every write counts there.
+        """One window per span: the DFN pre-stepped at every outer trigger
+        to the chunk's end or to the next key rotation.
 
-        Between key rotations a line's IA is its encryption under ``Kc``
-        or ``Kp``, picked by its ``isRemap`` bit, plus the parked and
-        displaced patches.  So the rest of the chunk is encrypted once per
-        key pair (a rotation makes the old ``Kc`` pass the new ``Kp``
-        pass), and each window only picks.  Writes landing on the outer
-        spare slot advance no inner counter — exactly as
-        :meth:`record_write` skips them — so they carry region -1 through
-        :func:`~repro.wearlevel.base.walk_windows`.
+        A key rotation only ever runs at a span's first write, so inside a
+        span a line's IA is its encryption under ``Kc`` or ``Kp``, picked
+        by its ``isRemap`` bit plus the parked and displaced patches, all
+        as of the write's epoch (:meth:`DynamicFeistelMapper.select`).
+        The rest of the chunk is thus encrypted once per key pair (a
+        rotation makes the old ``Kc`` pass the new ``Kp`` pass).  Writes
+        landing on the outer spare slot advance no inner counter — exactly
+        as :meth:`record_write` skips them — so they carry region -1
+        through :func:`~repro.wearlevel.base.walk_windows`.
         """
         mapper = self.outer
+        interval = self.outer_interval
         keyed: List = [None, 0, None, None]  # Kc, offset, under Kc, under Kp
 
-        def locate(lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+        def span(lo: int) -> Span:
+            rest = las[lo:]
+            first = interval - 1 - self.outer_write_count % interval
+            due = range(first, rest.size, interval)
+            steps = mapper.step_span(len(due), rotate=first == 0)
+            end = rest.size if len(steps) == len(due) else due[len(steps)]
             feistel, off, under_c, under_p = keyed
             if feistel is not mapper.feistel_c:  # chunk start or key rotation
-                rest = las[lo:]
                 if mapper.feistel_p is feistel:
                     under_p = under_c[lo - off :]
                 under_c = mapper.feistel_c.encrypt(rest).astype(np.int64)
@@ -203,19 +215,28 @@ class SecurityRBSG(WearLeveler):
                     under_p = mapper.feistel_p.encrypt(rest).astype(np.int64)
                 off = lo
                 keyed[:] = [mapper.feistel_c, off, under_c, under_p]
-            window = slice(lo - off, hi - off)
-            return self._locate_ias(
-                mapper.select(las[lo:hi], under_c[window], under_p[window])
+            window = slice(lo - off, lo - off + end)
+            at = np.arange(first, end, interval)
+            epoch = np.searchsorted(at, np.arange(end), side="right")
+            regions, locals_ = self._locate_ias(
+                mapper.select(rest[:end], under_c[window], under_p[window], epoch)
             )
+            moved = [j for j, step in enumerate(steps) if step is not None]
+            swap = np.array([isinstance(steps[j], SwapMove) for j in moved], dtype=bool)
+            slots = np.array(
+                [_slot_ends(steps[j]) for j in moved], dtype=np.int64
+            ).reshape(-1, 2)
 
-        outer = OuterLevel(
-            self.outer_interval,
-            lambda: self.outer_write_count,
-            self._outer_step,
-            self._count_outer,
-        )
+            def commit(k: int) -> None:
+                mapper.end_span(len(range(first, k, interval)))
+                self.outer_write_count += k
+
+            ends = self._locate_ias(slots.T.ravel())
+            return Span(regions, locals_, at[moved], swap, ends, commit)
+
+        lead = self.outer_write_count % interval == interval - 1
         return walk_windows(
-            self.inners, las, locate, outer, spare_pa=self._outer_spare_pa
+            self.inners, int(las.size), span, lead, spare_pa=self._outer_spare_pa
         )
 
     # -------------------------------------------------- fast-forward API

@@ -29,40 +29,27 @@ from repro.attacks import (
     RBSGTimingAttack,
     SRTimingAttack,
 )
-from repro.core.security_rbsg import SecurityRBSG
-from repro.wearlevel import (
-    MultiWaySR,
-    RandomSwapWearLeveling,
-    NoWearLeveling,
-    RegionBasedStartGap,
-    SecurityRefresh,
-    StartGap,
-    TableBasedWearLeveling,
-    TwoLevelSecurityRefresh,
+from repro.campaign.tasks import build_scheme
+
+#: Short names of the schemes, in ``attack_matrix``'s default order.
+SCHEME_NAMES = (
+    "none",
+    "start-gap",
+    "table",
+    "random-swap",
+    "rbsg",
+    "sr",
+    "multiway-sr",
+    "two-level-sr",
+    "security-rbsg",
 )
 
-#: Scheme constructors keyed by short name; each takes (n_lines, seed).
+#: Scheme constructors keyed by short name; each takes (n_lines, seed)
+#: and builds the scheme with :func:`~repro.campaign.tasks.build_scheme`'s
+#: defaults.
 SCHEME_FACTORIES: Dict[str, Callable[[int, int], object]] = {
-    "none": lambda n, seed: NoWearLeveling(n),
-    "start-gap": lambda n, seed: StartGap(n, remap_interval=16),
-    "table": lambda n, seed: TableBasedWearLeveling(n, swap_interval=16),
-    "random-swap": lambda n, seed: RandomSwapWearLeveling(
-        n, swap_interval=16, rng=seed
-    ),
-    "rbsg": lambda n, seed: RegionBasedStartGap(
-        n, n_regions=8, remap_interval=16, rng=seed
-    ),
-    "sr": lambda n, seed: SecurityRefresh(n, remap_interval=16, rng=seed),
-    "multiway-sr": lambda n, seed: MultiWaySR(
-        n, n_subregions=8, remap_interval=16, rng=seed
-    ),
-    "two-level-sr": lambda n, seed: TwoLevelSecurityRefresh(
-        n, n_subregions=8, inner_interval=16, outer_interval=32, rng=seed
-    ),
-    "security-rbsg": lambda n, seed: SecurityRBSG(
-        n, n_subregions=8, inner_interval=16, outer_interval=32,
-        n_stages=7, rng=seed,
-    ),
+    name: lambda n, seed, name=name: build_scheme(name, n, seed, {})
+    for name in SCHEME_NAMES
 }
 
 #: Attacks applicable to every scheme.

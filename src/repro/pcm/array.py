@@ -211,9 +211,9 @@ class OrderedWrites:
                 plan.charge_moves(out)
             self.elapsed_ns += ns
             lines, values = plan.final
-            if lines:
+            if lines.size:
                 pas = np.concatenate((pas, lines))
-                datas = np.concatenate((datas, np.array(values, dtype=np.int8)))
+                datas = np.concatenate((datas, values))
             self._store(wear_pas, pas, datas)
             self.total_writes += int(wear_pas.size)
             return ns

@@ -10,9 +10,10 @@ content *at the movement's position* in the list: a copy is one line write
 ``b <- a``, a swap two, ``a <- b`` then ``b <- a``, both reading the state
 before the swap.  :class:`EventPlan` resolves that data once per movement,
 through the last earlier write to the source line (a user write, found
-among the few user writes to lines the movements touch, or an earlier
-movement), else the array's stored content.  Movements are few per
-window, so this is a short loop.
+for every movement at once by one ``searchsorted`` over the ``(line,
+index)`` keys of the user writes to lines the movements touch, or an
+earlier movement), else the array's stored content.  Movements read each
+other's writes, so that last step is a loop over the movements.
 
 Wear counts and the latency sum do not depend on the order of the writes
 (latencies are integer-valued ns, so the float sum is exact in any order),
@@ -32,12 +33,11 @@ movement's reads included, to the user write it belongs to
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.wearlevel.base import Moves, grouped_cumcount
+from repro.wearlevel.base import Moves, grouped_cumcount, stable_order
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.array import OrderedWrites
@@ -62,53 +62,62 @@ class EventPlan:
         self.pas, self.datas, self.moves = pas, datas, moves
         self.move_dst = np.empty(0, dtype=np.int64)
         self.move_value = np.empty(0, dtype=np.int8)
-        self.final: Tuple[List[int], List[int]] = ([], [])
+        self.final: Tuple[np.ndarray, np.ndarray] = (self.move_dst, self.move_value)
         if moves[0].size:
             self._resolve()
 
     def _resolve(self) -> None:
-        at, swap, a, b = (column.tolist() for column in self.moves)
+        at, swap, a, b = self.moves
         n = int(self.pas.size)
-        # The lines the movements touch: their stored data, and the user
-        # writes to them (few or none).
-        touched = sorted(set(a) | set(b))
-        lines = np.array(touched, dtype=np.int64)
-        stored = dict(zip(touched, self.array._data_of(lines).tolist()))
+        # Each movement's line writes in order, as (destination, source):
+        # a swap writes a <- b then b <- a, a copy b <- a.
+        width = 1 + swap
+        owner = np.repeat(np.arange(at.size), width)
+        dst, src, pos = b[owner], a[owner], at[owner]
+        lead = (np.cumsum(width) - width)[swap]  # a swap's first write
+        dst[lead], src[lead] = a[swap], b[swap]
+        # The lines the movements touch, and each one's last user write
+        # before every read and before the end: one searchsorted over the
+        # (line, index) keys of the user writes to them.
+        touched = np.concatenate((a, b))
+        touched = touched[stable_order(touched)]
+        lines = touched[np.concatenate(([True], touched[1:] != touched[:-1]))]
         slot = np.minimum(np.searchsorted(lines, self.pas), lines.size - 1)
-        writes: Dict[int, List[int]] = {}  # line -> its user writes, in order
-        for i in np.flatnonzero(lines[slot] == self.pas).tolist():
-            writes.setdefault(int(self.pas[i]), []).append(i)
-
-        def last_user(line: int, before: int) -> int:
-            """Last user write to ``line`` before user write ``before``."""
-            mine = writes.get(line, [])
-            j = bisect_left(mine, before) - 1
-            return mine[j] if j >= 0 else -1
-
-        moved: Dict[int, Tuple[int, int]] = {}  # line -> (data, at) of its last movement
-
-        def read(line: int, before: int) -> int:
-            user = last_user(line, before)
-            last = moved.get(line)
-            if last is not None and user < last[1]:
-                return last[0]
-            return int(self.datas[user]) if user >= 0 else stored[line]
-
-        dst: List[int] = []
-        value: List[int] = []
-        for m, p in enumerate(at):
-            pairs = [(a[m], b[m]), (b[m], a[m])] if swap[m] else [(b[m], a[m])]
-            got = [read(src, p) for _, src in pairs]
-            for (line, _), data in zip(pairs, got):
-                moved[line] = (data, p)
-                dst.append(line)
-                value.append(data)
-        self.move_dst = np.array(dst, dtype=np.int64)
+        users = np.flatnonzero(lines[slot] == self.pas)
+        stride = n + 1
+        # Users are in index order, so a stable sort by line sorts the keys.
+        keys = (slot[users] * stride + users)[stable_order(slot[users])]
+        src_slot = np.searchsorted(lines, src)
+        line_slots = np.arange(lines.size)
+        queries = np.concatenate((src_slot * stride + pos, line_slots * stride + n))
+        found = np.searchsorted(keys, queries) - 1
+        last = keys[np.maximum(found, 0)] if keys.size else np.zeros_like(found)
+        same_line = (found >= 0) & (last // stride == queries // stride)
+        user = np.where(same_line, last % stride, -1)
+        stored = self.array._data_of(lines)
+        read = user[: src.size]
+        value = np.where(read >= 0, self.datas[read], stored[src_slot]).tolist()
+        # Movements read each other's writes: a source's last movement
+        # write wins over its last user write when it comes later (a
+        # movement runs just before the user write at its position).
+        moved_data = [0] * lines.size
+        moved_at = [-1] * lines.size
+        sources, before, positions = src_slot.tolist(), read.tolist(), pos.tolist()
+        targets = np.searchsorted(lines, dst).tolist()
+        k = 0
+        for w in width.tolist():
+            for r in range(k, k + w):  # a swap reads both lines first
+                if moved_at[sources[r]] > before[r]:
+                    value[r] = moved_data[sources[r]]
+            for r in range(k, k + w):
+                moved_data[targets[r]] = value[r]
+                moved_at[targets[r]] = positions[r]
+            k += w
+        self.move_dst = dst
         self.move_value = np.array(value, dtype=np.int8)
-        for line, (data, p) in moved.items():
-            if last_user(line, n) < p:
-                self.final[0].append(line)
-                self.final[1].append(data)
+        last_at = np.array(moved_at, dtype=np.int64)
+        final = last_at > user[src.size :]
+        self.final = (lines[final], np.array(moved_data, dtype=np.int8)[final])
 
     def wear_pas(self) -> np.ndarray:
         """Every line write's destination, in no particular order."""

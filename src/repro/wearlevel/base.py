@@ -44,6 +44,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wearlevel.startgap import StartGapBank
 
 
+#: Keys from which :func:`stable_order` may sort by radix: below about
+#: 768 keys numpy's int64 merge sort is faster than the radix path.
+RADIX_MIN = 1024
+
+
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, by radix sort when it can.
+
+    numpy sorts 16-bit integers by radix, several times faster than its
+    merge sort of int64 at chunk sizes, so ``RADIX_MIN`` or more keys whose
+    range fits in 15 bits (regions always do, and line addresses of
+    devices under 2^15 lines) are sorted as ``keys - min`` in int16; the
+    order is the same.
+    """
+    if keys.size >= RADIX_MIN:
+        low = keys.min()
+        if keys.max() - low < 1 << 15:
+            return np.argsort((keys - low).astype(np.int16), kind="stable")
+    return np.argsort(keys, kind="stable")
+
+
 def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     """Occurrence number (0-based) of each element within its group.
 
@@ -52,12 +73,27 @@ def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     banks find a window's remap triggers with it, and the array the
     running wear count of each line.
     """
-    order = np.argsort(groups, kind="stable")
+    order = stable_order(groups)
     sorted_groups = groups[order]
     occ = np.empty(groups.size, dtype=np.int64)
     # Each element's sorted position minus its group's first position.
     occ[order] = np.arange(groups.size) - np.searchsorted(sorted_groups, sorted_groups)
     return occ
+
+
+def counts_before(
+    regions: np.ndarray, fired: np.ndarray, rs: np.ndarray, ps: np.ndarray
+) -> np.ndarray:
+    """How many of the writes ``fired`` (positions into ``regions``,
+    ascending) belong to region ``rs[j]`` and come before position
+    ``ps[j]``, for every ``j``: one ``searchsorted`` over the fired writes'
+    ``(region, position)`` keys."""
+    stride = int(regions.size) + 1
+    keys = regions[fired] * stride + fired
+    keys = keys[stable_order(keys)]
+    base = rs * stride
+    found = np.searchsorted(keys, np.concatenate((base + ps, base)))
+    return found[: rs.size] - found[rs.size :]
 
 
 #: ``(at, swap, a, b)``: remap movements as arrays, in execution order.
@@ -88,26 +124,45 @@ class Window(NamedTuple):
     commit: Callable[[int], None]
 
 
-class OuterLevel(NamedTuple):
-    """The outer remap level of a two-level scheme, for :func:`walk_windows`.
+class Span(NamedTuple):
+    """An outer level pre-stepped over the writes of a chunk from one
+    position on, for :func:`walk_windows`.
 
-    ``interval``: bank writes per outer trigger; ``written()``: bank writes
-    counted so far; ``step()``: perform one outer trigger (RNG draws
-    included) and return its movement in physical addresses, ``None``
-    when it moves nothing; ``count(k)``: count ``k`` more bank writes.
+    ``regions``/``locals_`` locate each write of the span under the outer
+    mapping of its own epoch, the steps before it taken and none after
+    (region ``-1``: counted by no region).  Outer movement ``m`` runs just
+    before write ``at[m]``, ahead of that write's inner movement: a swap
+    of its two ends when ``swap[m]``, else a copy from the first end to
+    the second.  ``ends`` locates the first ends of all movements, then
+    their second ends, as ``(regions, locals_)``; region ``-1`` is the
+    outer spare line.  ``commit(k)`` keeps the steps of the span's first
+    ``k`` writes and rolls back the rest.
     """
 
-    interval: int
-    written: Callable[[], int]
-    step: Callable[[], Optional["Move"]]
-    count: Callable[[int], None]
+    regions: np.ndarray
+    locals_: np.ndarray
+    at: np.ndarray
+    swap: np.ndarray
+    ends: Tuple[np.ndarray, np.ndarray]
+    commit: Callable[[int], None]
 
 
-def _lead(move: "Move") -> Tuple[List[int], List[bool], List[int], List[int]]:
-    """One movement before write 0, as the four columns of :data:`Moves`."""
-    if isinstance(move, SwapMove):
-        return [0], [True], [move.pa_a], [move.pa_b]
-    return [0], [False], [move.src], [move.dst]
+class BankWindow(NamedTuple):
+    """A region bank's closed-form window (``StartGapBank.window``,
+    ``SRBank.window``).
+
+    The window holds the first ``len(pas)`` writes it was given: ``pas``
+    their physical addresses, ``moves`` the inner movements between them.
+    ``commit(k)`` advances the bank over the first ``k``.
+    ``slots_before(regions, locals_, at)`` is the bank slot of each
+    ``(regions[j], locals_[j])`` just before write ``at[j]`` runs, its own
+    movement not yet made.
+    """
+
+    pas: np.ndarray
+    moves: Moves
+    commit: Callable[[int], None]
+    slots_before: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def _commit_nothing(k: int) -> None:
@@ -120,72 +175,80 @@ def _commit_nothing(k: int) -> None:
 SCALAR_WRITE = Window(None, NO_MOVES, _commit_nothing)  # type: ignore[arg-type]
 
 
+def static_span(regions: np.ndarray, locals_: np.ndarray) -> Callable[[int], Span]:
+    """The spans of a scheme without an outer level: the located chunk
+    from the given write on, with no outer movement."""
+    none = np.empty(0, dtype=np.int64)
+    return lambda lo: Span(
+        regions[lo:], locals_[lo:], none, NO_MOVES[1], (none, none), _commit_nothing
+    )
+
+
 def walk_windows(
     bank: Union["StartGapBank", "SRBank"],
-    las: np.ndarray,
-    locate: Callable[[int, int], Tuple[np.ndarray, np.ndarray]],
-    outer: Optional[OuterLevel] = None,
+    size: int,
+    span: Callable[[int], Span],
+    lead: bool = False,
     spare_pa: int = -1,
 ) -> Iterator[Window]:
     """:meth:`WearLeveler.chunk_runs` for a scheme built on ``bank``.
 
-    The chunk walk every region-partitioned scheme shares.  A *window*
-    runs from an outer trigger to the write before the next one, or over
-    the whole chunk when the scheme has no outer level.  The first window
-    of a chunk starts without a trigger (it is empty when the chunk opens
-    on one), so a walk abandoned there has changed nothing.  Per window:
+    The chunk walk every region-partitioned scheme shares, over a chunk of
+    ``size`` writes.  ``span(lo)`` pre-steps the scheme's outer level over
+    the writes from ``lo`` on, as far as it goes (:class:`Span`): to the
+    chunk's end, or to a key rotation.  A scheme without an outer level
+    gives the located chunk (:func:`static_span`).  With ``lead`` (the
+    chunk opens on an outer trigger) the walk first yields an empty
+    window, so a walk abandoned there has changed nothing.  Per span:
 
-    * the outer trigger runs at the window start (``outer.step``), and its
-      movement leads the window's events;
-    * ``locate(lo, hi)`` gives writes ``las[lo:hi]`` as ``(regions,
-      locals)`` under the outer mapping just set.  Inside a window that map
-      is static: an inner movement changes the slot of one or two lines,
-      never the region a write counts in (§IV).  Region ``-1`` marks a
-      write no region counts (Security RBSG's outer spare slot, physical
-      line ``spare_pa``);
-    * the bank computes the window's inner movements and every write's
-      physical address in closed form from its registers
-      (``bank.window``).  An SR bank ends the window right after a
-      trigger that completes a key round, so its key draw happens at
-      commit, in scalar order;
-    * ``commit(k)`` advances the bank and the outer write count over the
-      ``k`` writes the array performed.
+    * the bank computes the inner movements and every write's physical
+      address in closed form from its registers (``bank.window``).  Inside
+      a span a write's region only changes at an outer step: an inner
+      movement changes the slot of one or two lines, never the region a
+      write counts in (§IV).  Region ``-1`` marks a write no region counts
+      (Security RBSG's outer spare slot, physical line ``spare_pa``).  An
+      SR bank ends the window right after a trigger that completes a key
+      round, so its key draw happens at commit, in scalar order;
+    * each outer movement the window reaches goes through the inner
+      mapping as it stands at its position (``slots_before``), and runs
+      ahead of the inner movement of its write;
+    * ``commit(k)`` keeps the outer steps of the ``k`` writes the array
+      performed, rolls back the others, then advances the bank.  Outer
+      first: on the same write the outer level draws its key before the
+      inner one, as on the scalar path.
     """
-    size = int(las.size)
-    pos = 0
-    if outer is not None and size and _outer_left(outer) == 1:
+    if lead and size:
         yield Window(np.empty(0, dtype=np.int64), NO_MOVES, _commit_nothing)
+    pos = 0
     while pos < size:
-        head: Optional[Move] = None
-        end = size
-        if outer is not None:
-            left = _outer_left(outer)
-            if left == 1:
-                head = outer.step()
-                left += outer.interval
-            end = min(size, pos + left - 1)
-        regions, locals_ = locate(pos, end)
-        n, pas, inner, advance = bank.window(regions, locals_)
+        outer = span(pos)
+        inner = bank.window(outer.regions, outer.locals_)
+        pas, moves = inner.pas, inner.moves
+        n = int(pas.size)
         if spare_pa >= 0:
-            pas[regions[:n] < 0] = spare_pa
-        moves = inner
-        if head is not None:
-            moves = tuple(  # type: ignore[assignment]
-                np.concatenate((lead, rest)) for lead, rest in zip(_lead(head), inner)
-            )
+            pas[outer.regions[:n] < 0] = spare_pa
+        reached = outer.at < n
+        if reached.any():
+            at = outer.at[reached]
+            both = np.concatenate((reached, reached))
+            regions, locals_ = outer.ends[0][both], outer.ends[1][both]
+            ends = inner.slots_before(regions, locals_, np.concatenate((at, at)))
+            ends[regions < 0] = spare_pa
+            columns = (at, outer.swap[reached], ends[: at.size], ends[at.size :])
+            merged = [np.concatenate(pair) for pair in zip(columns, moves)]
+            order = np.argsort(merged[0], kind="stable")  # outer first on a tie
+            moves = tuple(column[order] for column in merged)  # type: ignore[assignment]
 
-        def commit(k: int, advance: Callable[[int], None] = advance) -> None:
+        def commit(
+            k: int,
+            keep: Callable[[int], None] = outer.commit,
+            advance: Callable[[int], None] = inner.commit,
+        ) -> None:
+            keep(k)
             advance(k)
-            if outer is not None:
-                outer.count(k)
 
         yield Window(pas, moves, commit)
         pos += n
-
-
-def _outer_left(outer: OuterLevel) -> int:
-    """Writes until the outer trigger, that write included."""
-    return outer.interval - outer.written() % outer.interval
 
 
 def spread_even(totals: np.ndarray, width: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from repro.wearlevel.base import (
     Window,
     spread_even,
     spread_exact,
+    static_span,
     walk_windows,
 )
 from repro.wearlevel.security_refresh import SRBank
@@ -86,7 +87,7 @@ class MultiWaySR(WearLeveler):
         only at a sub-region's key draw."""
         regions, locals_ = self._locate(las)
         return walk_windows(
-            self.regions, las, lambda lo, hi: (regions[lo:hi], locals_[lo:hi])
+            self.regions, int(las.size), static_span(regions, locals_)
         )
 
     # -------------------------------------------------- fast-forward API

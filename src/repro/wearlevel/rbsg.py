@@ -35,6 +35,7 @@ from repro.wearlevel.base import (
     Window,
     spread_even,
     spread_exact,
+    static_span,
     walk_windows,
 )
 from repro.wearlevel.startgap import StartGapBank
@@ -144,7 +145,7 @@ class RegionBasedStartGap(WearLeveler):
         located once."""
         regions, locals_ = self._locate(las)
         return walk_windows(
-            self.regions, las, lambda lo, hi: (regions[lo:hi], locals_[lo:hi])
+            self.regions, int(las.size), static_span(regions, locals_)
         )
 
     # -------------------------------------------------- fast-forward API

@@ -16,18 +16,19 @@ physical lines — no gap line needed (Fig. 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
+    BankWindow,
     Move,
-    Moves,
     RoundProfile,
     SwapMove,
     WearLeveler,
+    counts_before,
     grouped_cumcount,
     spread_exact,
 )
@@ -136,26 +137,20 @@ class SRBank:
 
     def translate_many(self, regions: np.ndarray, locals_: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`translate` (bounds are the caller's problem)."""
-        kc = self.keyc[regions]
-        kp = self.keyp[regions]
-        remapped = np.minimum(locals_, locals_ ^ (kc ^ kp)) < self.crp[regions]
-        return regions * self.size + (locals_ ^ np.where(remapped, kc, kp))
+        return self._slots(regions, locals_, self.crp[regions])
 
-    def window(
-        self, regions: np.ndarray, locals_: np.ndarray
-    ) -> Tuple[int, np.ndarray, Moves, Callable[[int], None]]:
-        """A window of writes in closed form: ``(n, pas, moves, commit)``.
+    def window(self, regions: np.ndarray, locals_: np.ndarray) -> BankWindow:
+        """A window of writes in closed form (:class:`BankWindow`).
 
         Write ``i`` is its region's ``occ[i]``-th in the window, so it
         advances the CRP iff ``(write_count[r] + occ[i] + 1) %
         remap_interval == 0``, and sees the CRP moved ``seen[i]`` times
         (its own advance included).  An advance from CRP ``c`` swaps iff
         ``c ^ keyc ^ keyp > c``.  The window ends right after the first
-        advance that completes a key round (``n`` counts the writes up to
-        it): its swap is due under the old keys, and translating that
+        advance that completes a key round (it holds the writes up to that
+        one): its swap is due under the old keys, and translating that
         write with CRP ``size`` under the old keys gives the new round's
-        mapping (CRP 0), so the draw can wait for ``commit(k)``, which
-        advances the bank over the first ``k`` writes.
+        mapping (CRP 0), so the draw can wait for ``commit(k)``.
         """
         counted = regions >= 0
         interval = self.remap_interval
@@ -169,18 +164,18 @@ class SRBank:
         n = int(regions.size) if ends.size == 0 else int(ends[0]) + 1
         regions, locals_, crp = regions[:n], locals_[:n], crp[:n]
         fired = fired[fired < n]
-        keyc, keyp = self.keyc[regions], self.keyp[regions]
-        remapped = np.minimum(locals_, locals_ ^ keyc ^ keyp) < crp
-        pas = regions * self.size + (locals_ ^ np.where(remapped, keyc, keyp))
+        pas = self._slots(regions, locals_, crp)
         la = crp[fired] - 1  # the CRP each advance starts from
-        swaps = (la ^ keyc[fired] ^ keyp[fired]) > la
+        fired_regions = regions[fired]
+        swaps = (la ^ self.keyc[fired_regions] ^ self.keyp[fired_regions]) > la
         at, la = fired[swaps], la[swaps]
-        base = regions[at] * self.size
+        owner = fired_regions[swaps]
+        base = owner * self.size
         moves = (
             at,
             np.ones(at.size, dtype=bool),
-            base + (la ^ keyp[at]),
-            base + (la ^ keyc[at]),
+            base + (la ^ self.keyp[owner]),
+            base + (la ^ self.keyc[owner]),
         )
         n_regions = self.write_count.size
 
@@ -193,7 +188,20 @@ class SRBank:
                 self.crp[done] = 0
                 self._end_round(done)
 
-        return n, pas, moves, commit
+        def slots_before(rs: np.ndarray, ls: np.ndarray, ps: np.ndarray) -> np.ndarray:
+            crp = self.crp[rs] + counts_before(regions, fired, rs, ps)
+            return self._slots(rs, ls, crp)
+
+        return BankWindow(pas, moves, commit, slots_before)
+
+    def _slots(
+        self, regions: np.ndarray, locals_: np.ndarray, crp: np.ndarray
+    ) -> np.ndarray:
+        """Bank slots of ``(regions, locals_)`` with each region's CRP at
+        ``crp`` under its current keys."""
+        keyc, keyp = self.keyc[regions], self.keyp[regions]
+        remapped = np.minimum(locals_, locals_ ^ keyc ^ keyp) < crp
+        return regions * self.size + (locals_ ^ np.where(remapped, keyc, keyp))
 
     def remaining(self) -> np.ndarray:
         """Writes each region takes until its CRP advances again (>= 1)."""

@@ -16,16 +16,17 @@ advances, completing one remapping round exactly as in Fig. 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.wearlevel.base import (
+    BankWindow,
     CopyMove,
     Move,
-    Moves,
     RoundProfile,
     WearLeveler,
+    counts_before,
     grouped_cumcount,
     spread_exact,
 )
@@ -98,20 +99,16 @@ class StartGapBank:
         slots += slots >= self.gap[regions]
         return regions * (self.size + 1) + slots
 
-    def window(
-        self, regions: np.ndarray, locals_: np.ndarray
-    ) -> Tuple[int, np.ndarray, Moves, Callable[[int], None]]:
-        """A window of writes in closed form: ``(n, pas, moves, commit)``.
+    def window(self, regions: np.ndarray, locals_: np.ndarray) -> BankWindow:
+        """A window of writes in closed form (:class:`BankWindow`).
 
         ``regions``/``locals_`` locate each write (region ``-1``: counted
         by no region; its pa is left for the caller).  Write ``i`` is its
         region's ``occ[i]``-th in the window, so it fires a gap movement
         iff ``(write_count[r] + occ[i] + 1) % remap_interval == 0``, and
-        it sees ``T`` movements of its region in total, its own included,
-        with the gap at ``(size - T) mod (size + 1)`` and ``start`` at
-        ``T // (size + 1) mod size``; a movement copies the slot the gap
-        moves to into the one it leaves.  The window is never cut (``n`` is
-        every write); ``commit(k)`` advances the bank over the first ``k``.
+        it sees ``T`` movements of its region in total, its own included
+        (:meth:`_slots`); a movement copies the slot the gap moves to into
+        the one it leaves.  The window is never cut: it holds every write.
         """
         counted = regions >= 0
         interval = self.remap_interval
@@ -119,13 +116,11 @@ class StartGapBank:
         # (region -1: garbage, masked below).
         into = grouped_cumcount(regions) + (self.write_count % interval + 1)[regions]
         seen, phase = np.divmod(into, interval)
-        laps, walked = np.divmod(self.total_movements[regions] + seen, self.size + 1)
-        slot = (locals_ + laps) % self.size
-        slot += slot >= self.size - walked  # the gap is at size - walked
-        slots = self.size + 1
-        pas = regions * slots + slot
+        moved = self.total_movements[regions] + seen
+        pas = self._slots(regions, locals_, moved)
         at = np.flatnonzero(counted & (phase == 0))
-        src = self.size - walked[at]  # the gap after the move
+        slots = self.size + 1
+        src = self.size - moved[at] % slots  # the gap after the move
         base = regions[at] * slots
         moves = (at, np.zeros(at.size, dtype=bool), base + src, base + (src + 1) % slots)
         n_regions = self.write_count.size
@@ -133,7 +128,22 @@ class StartGapBank:
         def commit(k: int) -> None:
             self.advance(np.bincount(regions[:k][counted[:k]], minlength=n_regions))
 
-        return int(regions.size), pas, moves, commit
+        def slots_before(rs: np.ndarray, ls: np.ndarray, ps: np.ndarray) -> np.ndarray:
+            moved = self.total_movements[rs] + counts_before(regions, at, rs, ps)
+            return self._slots(rs, ls, moved)
+
+        return BankWindow(pas, moves, commit, slots_before)
+
+    def _slots(
+        self, regions: np.ndarray, locals_: np.ndarray, moved: np.ndarray
+    ) -> np.ndarray:
+        """Bank slots of ``(regions, locals_)`` once each region has made
+        ``moved`` gap movements: the gap at ``(size - moved) mod (size +
+        1)`` and ``start`` at ``moved // (size + 1) mod size``."""
+        laps, walked = np.divmod(moved, self.size + 1)
+        slot = (locals_ + laps) % self.size
+        slot += slot >= self.size - walked
+        return regions * (self.size + 1) + slot
 
     def remaining(self) -> np.ndarray:
         """Writes each region takes until its next gap movement (>= 1)."""

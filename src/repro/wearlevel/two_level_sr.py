@@ -26,8 +26,8 @@ from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import (
     Move,
-    OuterLevel,
     RoundProfile,
+    Span,
     SwapMove,
     WearLeveler,
     Window,
@@ -130,20 +130,27 @@ class TwoLevelSecurityRefresh(WearLeveler):
             *self._locate(np.asarray(las, dtype=np.int64))
         )
 
-    def _count_outer(self, writes: int) -> None:
-        self.outer.write_count += writes
-
     def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
-        """Windows start at the outer swap; every write counts there."""
-        outer = OuterLevel(
-            self.outer.remap_interval,
-            lambda: self.outer.write_count.item(0),
-            lambda: self._outer_move(self.outer.remap_step(0)),
-            self._count_outer,
-        )
-        return walk_windows(
-            self.inners, las, lambda lo, hi: self._locate(las[lo:hi]), outer
-        )
+        """One window per span of the outer SR bank's closed-form window.
+
+        The outer bank, one region that counts every write, locates each
+        write under the outer mapping after its own trigger; its window
+        covers any number of triggers, ends right after a key-completing
+        one and draws that key at commit, which runs before the inner
+        commit, as on the scalar path.
+        """
+        size = self.subregion_size
+
+        def span(lo: int) -> Span:
+            rest = las[lo:]
+            outer = self.outer.window(np.zeros(rest.size, dtype=np.int64), rest)
+            at, swap, a, b = outer.moves
+            regions, locals_ = np.divmod(outer.pas, size)
+            ends = np.divmod(np.concatenate((a, b)), size)
+            return Span(regions, locals_, at, swap, ends, outer.commit)
+
+        lead = int(self.outer.remaining()[0]) == 1
+        return walk_windows(self.inners, int(las.size), span, lead)
 
     # -------------------------------------------------- fast-forward API
 

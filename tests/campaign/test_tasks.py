@@ -182,3 +182,19 @@ class TestTenantLifetimeTask:
         assert all(r.ok for r in serial)
         assert serial == parallel  # same records, bit for bit
         assert to_json(aggregate(serial)) == to_json(aggregate(parallel))
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_scheme_factories_are_build_scheme(seed):
+    """``repro.experiments.SCHEME_FACTORIES`` builds every scheme exactly
+    as ``build_scheme`` does with no parameters: same names, same pickled
+    state (registers, keys and generator)."""
+    import pickle
+
+    from repro.experiments import SCHEME_FACTORIES, SCHEME_NAMES
+
+    assert tuple(SCHEME_FACTORIES) == SCHEME_NAMES
+    for name, factory in SCHEME_FACTORIES.items():
+        assert pickle.dumps(factory(2**7, seed)) == pickle.dumps(
+            tasks.build_scheme(name, 2**7, seed, {})
+        ), name

@@ -23,6 +23,7 @@ from repro.pcm.timing import ALL0, ALL1, MIXED, LineData
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
 from repro.sim.trace import uniform_random_chunks, uniform_random_trace
+from repro.wearlevel import TwoLevelSecurityRefresh
 from repro.wearlevel.base import CopyMove
 from tests.sim.test_fast_engine import N_LINES, assert_identical
 
@@ -224,6 +225,179 @@ def test_key_rotation_inside_chunk():
             result = run_trace(controller, trace)
         outcomes.append((result, controller))
     assert any(rotations), "no key rotation fell inside a chunk"
+    assert_same_run(*outcomes)
+
+
+# ------------------------------------------------------------ outer spans
+#
+# A two-level scheme's outer level is pre-stepped over a whole span: from
+# a chunk's start (or a Security RBSG key rotation, or right after an SR
+# key round) to the chunk's end.  A failure inside a span rolls back the
+# steps the failing write did not reach.
+
+#: Key rounds completed so far: the DFN's, and those of both SR levels.
+ROUNDS = {
+    "security-rbsg": lambda scheme: scheme.outer.round_count,
+    "two-level-sr": lambda scheme: int(scheme.outer.round_count.item(0))
+    + int(scheme.inners.round_count.sum()),
+}
+
+
+def span_failure(name, interval, endurance, seed, writes=4000, batch=512):
+    """Scalar run to failure, one event at a time, as ``controller.write``
+    orders them.  Returns the failing event's kind (``outer-copy``,
+    ``outer-swap``, ``inner`` or ``user``) and how many outer steps ran
+    before it in its span: a span starts at each chunk of ``batch``
+    writes, at a DFN key rotation, and after a write that completes an SR
+    key round.  ``None`` when the run survives."""
+    scheme = build_scheme(name, N_LINES, seed, {"interval": interval})
+    array = PCMArray(
+        PCMConfig(n_lines=N_LINES, endurance=endurance),
+        n_physical=scheme.n_physical,
+    )
+    steps = 0
+    for index, entry in enumerate(uniform_random_trace(N_LINES, writes, rng=seed)):
+        if index % batch == 0:
+            steps = 0
+        rounds, inner = ROUNDS[name](scheme), INNER_MOVES[name](scheme)
+        moves = scheme.record_write(entry.la)
+        inner = INNER_MOVES[name](scheme) - inner
+        trigger = OUTER_WRITES[name](scheme) % (2 * interval) == 0
+        if name == "security-rbsg" and ROUNDS[name](scheme) > rounds:
+            steps = 0  # the rotation is the first step of its span
+        earlier, steps = steps, steps + trigger
+        split = len(moves) - inner
+        events = [("outer", move) for move in moves[:split]]
+        events += [("inner", move) for move in moves[split:]] + [("user", None)]
+        for kind, move in events:
+            try:
+                if move is None:
+                    array.write(scheme.translate(entry.la), entry.data)
+                elif isinstance(move, CopyMove):
+                    array.copy(move.src, move.dst)
+                else:
+                    array.swap(move.pa_a, move.pa_b)
+            except LineFailure:
+                if kind == "outer":
+                    kind += "-copy" if isinstance(move, CopyMove) else "-swap"
+                    return kind, earlier
+                return kind, steps
+        if name == "two-level-sr" and ROUNDS[name](scheme) > rounds:
+            steps = 0
+    return None
+
+
+SPAN_FAILURES = [
+    ("security-rbsg", "outer-copy"),
+    ("security-rbsg", "outer-swap"),
+    ("security-rbsg", "inner"),
+    ("security-rbsg", "user"),
+    ("two-level-sr", "outer-swap"),
+    ("two-level-sr", "inner"),
+    ("two-level-sr", "user"),
+]
+
+
+@pytest.mark.parametrize("name, kind", SPAN_FAILURES)
+def test_failure_inside_a_span(name, kind):
+    """The first failure falls on an outer copy or swap, an inner movement
+    or a user write after earlier outer steps of the same span: the chunk
+    run keeps the steps up to the failing write and rolls back the
+    later ones, ending with the scalar run's results, wear, data and
+    pickled scheme (mapper registers, ``isRemap``, generator)."""
+    hit = None
+    for params in itertools.product([2, 4, 8], range(8, 40), [1, 2, 3, 4]):
+        event = span_failure(name, *params)
+        if event is not None and event[0] == kind and event[1] > 0:
+            hit = params
+            break
+    assert hit is not None, f"no small run fails on {kind} inside a span"
+    assert_same_run(*run_twins(name, N_LINES, *hit))
+
+
+def test_span_stops_at_key_rotation():
+    """Security RBSG pre-steps no key rotation past a span's first write:
+    a span ends before the rotating trigger, which opens the next one, so
+    every generator draw happens at a span start."""
+    batch, interval = 512, 4
+    opened = []
+    outcomes = []
+    for fast in (False, True):
+        scheme = build_scheme("security-rbsg", N_LINES, 5, {"interval": interval // 2})
+        controller = MemoryController(scheme, PCMConfig(n_lines=N_LINES, endurance=1e9))
+        if fast:
+            begin_round = scheme.outer._begin_round
+
+            def rotate(begin_round=begin_round, scheme=scheme):
+                # The span's first write is the one outer_write_count
+                # has not counted yet.
+                opened.append(scheme.outer_write_count)
+                return begin_round()
+
+            scheme.outer._begin_round = rotate
+            trace = uniform_random_chunks(N_LINES, 12_000, rng=5, batch=batch)
+            result = run_trace_fast(controller, trace)
+            del scheme.outer._begin_round
+        else:
+            trace = uniform_random_trace(N_LINES, 12_000, rng=5)
+            result = run_trace(controller, trace)
+        outcomes.append((result, controller))
+    assert len(opened) > 5 and any(count % batch for count in opened)
+    assert all((count + 1) % interval == 0 for count in opened)
+    assert_same_run(*outcomes)
+
+
+def test_outer_and_inner_key_rounds_on_one_write():
+    """Two-level SR: when the outer level and an inner region complete a
+    key round on the same write, the outer key is drawn first, as on the
+    scalar path (both levels share one generator)."""
+    writes = 600
+    rng = np.random.default_rng(11)
+    las = rng.integers(0, 16, size=writes)
+    datas = rng.integers(0, len(LineData), size=writes).astype(np.int8)
+    config = PCMConfig(n_lines=16, endurance=1e9)
+
+    def make():
+        return MemoryController(
+            TwoLevelSecurityRefresh(16, 2, inner_interval=1, outer_interval=1, rng=11),
+            config,
+        )
+
+    scalar, chunked = make(), make()
+    both = 0
+    for la, data in zip(las.tolist(), datas.tolist()):
+        outer = scalar.scheme.outer.round_count.item(0)
+        inner = int(scalar.scheme.inners.round_count.sum())
+        scalar.write(la, LineData(data))
+        both += (
+            scalar.scheme.outer.round_count.item(0) > outer
+            and int(scalar.scheme.inners.round_count.sum()) > inner
+        )
+    assert both >= 2
+    for lo in range(0, writes, 200):
+        chunked.write_chunk(las[lo : lo + 200], datas[lo : lo + 200])
+    assert pickle.dumps(chunked.scheme) == pickle.dumps(scalar.scheme)
+    assert np.array_equal(chunked.array.wear, scalar.array.wear)
+    assert np.array_equal(chunked.array.data, scalar.array.data)
+
+
+@pytest.mark.parametrize("name", sorted(INNER_MOVES))
+def test_max_writes_cut_inside_a_span(name):
+    """A run cut at ``max_writes`` mid-chunk walks only the writes before
+    the cut: no outer step past it is kept."""
+    outcomes = []
+    for fast in (False, True):
+        scheme = build_scheme(name, N_LINES, 6, {"interval": 2})
+        controller = MemoryController(scheme, PCMConfig(n_lines=N_LINES, endurance=1e9))
+        if fast:
+            trace = uniform_random_chunks(N_LINES, 4000, rng=6, batch=512)
+            result = run_trace_fast(controller, trace, max_writes=1237)
+        else:
+            result = run_trace(
+                controller, uniform_random_trace(N_LINES, 4000, rng=6), max_writes=1237
+            )
+        outcomes.append((result, controller))
+    assert outcomes[0][0].user_writes == 1237
     assert_same_run(*outcomes)
 
 

@@ -32,7 +32,9 @@ Worker pools are created with the ``fork`` start method where the
 platform offers it, so task kinds registered at runtime
 (:func:`repro.campaign.tasks.register_task_kind`) are visible inside
 workers; under spawn/forkserver only kinds registered at import time of
-:mod:`repro.campaign.tasks` would survive the round-trip.
+:mod:`repro.campaign.tasks` would survive the round-trip.  Each worker
+exits on its own once the runner that forked it is gone, so a runner
+killed outright leaves no worker behind.
 
 Wall-clock use here times *host* execution (timeouts, throughput); the
 simulator's clock is untouched, hence the file-wide REP005 waiver.
@@ -42,6 +44,8 @@ simulator's clock is untouched, hence the file-wide REP005 waiver.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
@@ -75,8 +79,26 @@ except ValueError:  # pragma: no cover - non-POSIX platforms
     _MP_CONTEXT = None
 
 
+def _exit_with_runner(runner: int) -> None:
+    """Pool worker initializer: exit once the runner that forked this
+    worker is gone.  A runner killed outright (``kill -9``) never shuts its
+    pool down, and its workers would wait on the call queue forever."""
+
+    def watch() -> None:
+        while os.getppid() == runner:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _make_pool(workers: int) -> ProcessPoolExecutor:
-    return ProcessPoolExecutor(max_workers=workers, mp_context=_MP_CONTEXT)
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=_MP_CONTEXT,
+        initializer=_exit_with_runner,
+        initargs=(os.getpid(),),
+    )
 
 
 @dataclass(frozen=True)

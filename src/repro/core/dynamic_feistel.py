@@ -58,7 +58,7 @@ import numpy as np
 from repro.core.feistel import FeistelNetwork
 from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
-from repro.wearlevel.base import CopyMove, Move, SwapMove
+from repro.wearlevel.base import CopyMove, Move, SwapMove, sorted_composites
 
 
 class DynamicFeistelMapper:
@@ -159,10 +159,20 @@ class DynamicFeistelMapper:
             marks = np.array(self._marks, dtype=np.int64)
             starts = [entry[-1] for entry in log] + [marks.size]
             step = np.repeat(np.arange(len(log)), np.diff(starts))
-            order = np.argsort(marks, kind="stable")
-            marks, step = marks[order], step[order]
-            found = np.minimum(np.searchsorted(marks, las), marks.size - 1)
-            remapped &= ~((marks[found] == las) & (step[found] >= epoch))
+            # Write i sees the mark of step s iff epoch[i] > s, so from
+            # first_after[s] on (epoch never decreases).  The writes to a
+            # marked line before that are a range of the sorted (la, index)
+            # composites: clear their bit.
+            first_after = np.searchsorted(epoch, np.arange(len(log)), side="right")
+            composite, shift = sorted_composites(las)
+            line = marks << shift
+            lo, hi = np.searchsorted(
+                composite, np.stack((line, line + first_after[step]))
+            )
+            count = hi - lo
+            inside = np.repeat(lo - np.cumsum(count) + count, count)
+            inside += np.arange(inside.size)
+            remapped[composite[inside] & ((1 << shift) - 1)] = False
         out = np.where(remapped, under_c, under_p)
         registers = [entry[1:4] for entry in log]
         registers.append((self.parked_la, self.displaced_la, self.displaced_slot))

@@ -217,7 +217,7 @@ class SecurityRBSG(WearLeveler):
                 keyed[:] = [mapper.feistel_c, off, under_c, under_p]
             window = slice(lo - off, lo - off + end)
             at = np.arange(first, end, interval)
-            epoch = np.searchsorted(at, np.arange(end), side="right")
+            epoch = np.cumsum(np.bincount(at, minlength=end))  # steps at <= i
             regions, locals_ = self._locate_ias(
                 mapper.select(rest[:end], under_c[window], under_p[window], epoch)
             )

@@ -10,10 +10,10 @@ content *at the movement's position* in the list: a copy is one line write
 ``b <- a``, a swap two, ``a <- b`` then ``b <- a``, both reading the state
 before the swap.  :class:`EventPlan` resolves that data once per movement,
 through the last earlier write to the source line (a user write, found
-for every movement at once by one ``searchsorted`` over the ``(line,
-index)`` keys of the user writes to lines the movements touch, or an
-earlier movement), else the array's stored content.  Movements read each
-other's writes, so that last step is a loop over the movements.
+for every movement at once by searching its read among the user writes'
+``(line, index)`` composites, sorted once, or an earlier movement), else
+the array's stored content.  Movements read each other's writes, so that
+last step is a loop over the movements.
 
 Wear counts and the latency sum do not depend on the order of the writes
 (latencies are integer-valued ns, so the float sum is exact in any order),
@@ -37,7 +37,12 @@ from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
-from repro.wearlevel.base import Moves, grouped_cumcount, stable_order
+from repro.wearlevel.base import (
+    Moves,
+    grouped_cumcount,
+    sorted_composites,
+    stable_order,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pcm.array import OrderedWrites
@@ -76,24 +81,20 @@ class EventPlan:
         dst, src, pos = b[owner], a[owner], at[owner]
         lead = (np.cumsum(width) - width)[swap]  # a swap's first write
         dst[lead], src[lead] = a[swap], b[swap]
-        # The lines the movements touch, and each one's last user write
-        # before every read and before the end: one searchsorted over the
-        # (line, index) keys of the user writes to them.
-        touched = np.concatenate((a, b))
-        touched = touched[stable_order(touched)]
+        # The lines the movements touch, and the last user write to a line
+        # before every read and before the end: among the user writes'
+        # sorted (line, index) composites, the one just below (line,
+        # position), or (line, n), when it holds the same line.
+        touched = np.sort(np.concatenate((a, b)))
         lines = touched[np.concatenate(([True], touched[1:] != touched[:-1]))]
-        slot = np.minimum(np.searchsorted(lines, self.pas), lines.size - 1)
-        users = np.flatnonzero(lines[slot] == self.pas)
-        stride = n + 1
-        # Users are in index order, so a stable sort by line sorts the keys.
-        keys = (slot[users] * stride + users)[stable_order(slot[users])]
+        composite, shift = sorted_composites(self.pas)
+        reads = np.concatenate((src, lines))
+        ends = np.concatenate((pos, np.full(lines.size, n)))
+        found = np.searchsorted(composite, (reads << shift) + ends) - 1
+        last = composite[np.maximum(found, 0)]
+        user = last & ((1 << shift) - 1)
+        user[(found < 0) | (last >> shift != reads)] = -1
         src_slot = np.searchsorted(lines, src)
-        line_slots = np.arange(lines.size)
-        queries = np.concatenate((src_slot * stride + pos, line_slots * stride + n))
-        found = np.searchsorted(keys, queries) - 1
-        last = keys[np.maximum(found, 0)] if keys.size else np.zeros_like(found)
-        same_line = (found >= 0) & (last // stride == queries // stride)
-        user = np.where(same_line, last % stride, -1)
         stored = self.array._data_of(lines)
         read = user[: src.size]
         value = np.where(read >= 0, self.datas[read], stored[src_slot]).tolist()
@@ -150,7 +151,7 @@ class EventPlan:
         at, swap = self.moves[0], self.moves[1]
         n = int(self.pas.size)
         widths = np.concatenate(([0], np.cumsum(1 + swap)))
-        before = np.searchsorted(at, np.arange(n), side="right")
+        before = np.cumsum(np.bincount(at, minlength=n)[:n])  # movements at <= i
         self.user_line = np.arange(n) + widths[before]
         self.move_line = at + widths[:-1]
         self.size = n + int(widths[-1])
@@ -174,7 +175,7 @@ class EventPlan:
 
     def _old_data(self) -> np.ndarray:
         """Content each line write overwrites, honouring earlier writes."""
-        order = np.argsort(self.dst, kind="stable")
+        order = stable_order(self.dst)
         sorted_dst = self.dst[order]
         first = np.ones(self.size, dtype=bool)
         first[1:] = sorted_dst[1:] != sorted_dst[:-1]
@@ -190,7 +191,8 @@ class EventPlan:
         """Add the latency of line writes ``[lo, hi)``, a movement's read
         included, to ``out`` at the user write each belongs to.  Needs
         :meth:`lines`."""
-        owner = np.searchsorted(self.user_line, np.arange(lo, hi))
+        users = ~self.moved[:hi]
+        owner = (np.cumsum(users) - users)[lo:]  # user writes before each
         cost = self.latency[lo:hi] + self.array.timing.read_latency() * self.moved[lo:hi]
         out += np.bincount(owner, weights=cost, minlength=out.size)
 

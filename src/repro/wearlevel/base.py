@@ -44,25 +44,40 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wearlevel.startgap import StartGapBank
 
 
-#: Keys from which :func:`stable_order` may sort by radix: below about
-#: 768 keys numpy's int64 merge sort is faster than the radix path.
-RADIX_MIN = 1024
+#: Keys from which :func:`sorted_composites` sorts the composites
+#: themselves: below about 512 keys numpy's stable argsort is faster.
+SORT_MIN = 512
+
+
+def sorted_composites(keys: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The composites ``(keys[i] << shift) + i`` of ``n`` integer keys,
+    sorted, and ``shift``, the bit length of ``n``.
+
+    No two are equal, and composite ``c`` holds key ``c >> shift`` at index
+    ``c & ((1 << shift) - 1)`` (negative keys such as region ``-1`` decode
+    too): in sorted order the indices are ``np.argsort(keys,
+    kind="stable")``, and the occurrences of key ``k`` before index
+    ``i <= n`` are the composites in ``[(k << shift), (k << shift) + i)``,
+    so one ``searchsorted`` answers such a query for all of them.  The
+    composites stay below 2^63 while ``max |keys| << shift`` does: about
+    2^37 for the line addresses of a 2^23-line device in 8192-write
+    chunks.  A shift and a mask decode them several times faster than a
+    division by ``n``.
+    """
+    n = int(keys.size)
+    shift = n.bit_length()
+    if n < SORT_MIN:
+        order = np.argsort(keys, kind="stable")
+        return (keys[order] << shift) + order, shift
+    composite = (keys << shift) + np.arange(n)
+    composite.sort()  # distinct by the index term: no ties to order
+    return composite, shift
 
 
 def stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")``, by radix sort when it can.
-
-    numpy sorts 16-bit integers by radix, several times faster than its
-    merge sort of int64 at chunk sizes, so ``RADIX_MIN`` or more keys whose
-    range fits in 15 bits (regions always do, and line addresses of
-    devices under 2^15 lines) are sorted as ``keys - min`` in int16; the
-    order is the same.
-    """
-    if keys.size >= RADIX_MIN:
-        low = keys.min()
-        if keys.max() - low < 1 << 15:
-            return np.argsort((keys - low).astype(np.int16), kind="stable")
-    return np.argsort(keys, kind="stable")
+    """``np.argsort(keys, kind="stable")``, from :func:`sorted_composites`."""
+    composite, shift = sorted_composites(keys)
+    return composite & ((1 << shift) - 1)
 
 
 def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
@@ -73,11 +88,17 @@ def grouped_cumcount(groups: np.ndarray) -> np.ndarray:
     banks find a window's remap triggers with it, and the array the
     running wear count of each line.
     """
-    order = stable_order(groups)
-    sorted_groups = groups[order]
-    occ = np.empty(groups.size, dtype=np.int64)
-    # Each element's sorted position minus its group's first position.
-    occ[order] = np.arange(groups.size) - np.searchsorted(sorted_groups, sorted_groups)
+    n = int(groups.size)
+    composite, shift = sorted_composites(groups)
+    sorted_groups = composite >> shift
+    # Each element's sorted position minus its group's first position; the
+    # groups' bounds are where adjacent sorted groups differ.
+    bound = np.ones(n + 1, dtype=bool)
+    np.not_equal(sorted_groups[1:], sorted_groups[:-1], out=bound[1:n])
+    bounds = bound.nonzero()[0]
+    first = np.repeat(bounds[:-1], bounds[1:] - bounds[:-1])
+    occ = np.empty(n, dtype=np.int64)
+    occ[composite & ((1 << shift) - 1)] = np.arange(n) - first
     return occ
 
 
@@ -89,8 +110,7 @@ def counts_before(
     ``ps[j]``, for every ``j``: one ``searchsorted`` over the fired writes'
     ``(region, position)`` keys."""
     stride = int(regions.size) + 1
-    keys = regions[fired] * stride + fired
-    keys = keys[stable_order(keys)]
+    keys = np.sort(regions[fired] * stride + fired)  # distinct: no ties to order
     base = rs * stride
     found = np.searchsorted(keys, np.concatenate((base + ps, base)))
     return found[: rs.size] - found[rs.size :]

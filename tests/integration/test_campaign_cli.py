@@ -134,23 +134,39 @@ class TestKillAndResume:
             ],
             cwd=str(REPO), env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,  # its own process group, pool included
         )
         results = out_dir / "results.jsonl"
         try:
-            # Wait for at least one durable record, then kill -9.
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                if results.exists() and results.stat().st_size > 0:
+            try:
+                # Wait for at least one durable record, then kill -9.
+                deadline = time.monotonic() + 60
+                while time.monotonic() < deadline:
+                    if results.exists() and results.stat().st_size > 0:
+                        break
+                    if child.poll() is not None:
+                        break
+                    time.sleep(0.02)
+                else:
+                    pytest.fail("campaign never wrote a record")
+            finally:
+                if child.poll() is None:
+                    child.send_signal(signal.SIGKILL)
+                child.wait(timeout=30)
+            # The pool workers follow their runner out.
+            deadline = time.monotonic() + 15
+            while True:
+                try:
+                    os.killpg(child.pid, 0)
+                except ProcessLookupError:
                     break
-                if child.poll() is not None:
-                    break
-                time.sleep(0.02)
-            else:
-                pytest.fail("campaign never wrote a record")
+                assert time.monotonic() < deadline, "pool workers outlived the runner"
+                time.sleep(0.05)
         finally:
-            if child.poll() is None:
-                child.send_signal(signal.SIGKILL)
-            child.wait(timeout=30)
+            try:
+                os.killpg(child.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
         spec = load_spec(FAULT_GRID)
         all_ids = {key.key_id for key in spec.expand()}

@@ -13,15 +13,17 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.campaign.tasks import build_scheme
 from repro.wearlevel.base import (
-    RADIX_MIN,
+    SORT_MIN,
     Span,
     SwapMove,
+    counts_before,
     grouped_cumcount,
+    sorted_composites,
     spread_even,
     spread_exact,
     stable_order,
@@ -325,18 +327,26 @@ def test_chunk_opening_on_an_outer_trigger_changes_nothing(name):
     assert next(scheme.chunk_runs(las)).pas.size == 0
 
 
+#: Key ranges: regions, line addresses on both sides of 2^15, and the line
+#: addresses of a 2^23-line device with its spares.
+KEY_SPANS = [1, 2, (1 << 15) - 1, 1 << 15, 1 << 20, (1 << 23) + 513]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    st.integers(2, 3 * RADIX_MIN),
-    st.sampled_from([1, 2, (1 << 15) - 2, (1 << 15) - 1, 1 << 15, 1 << 20]),
+    st.integers(2, 3 * SORT_MIN),
+    st.sampled_from(KEY_SPANS),
     st.integers(-1, 3),
     st.integers(0, 2**32 - 1),
 )
+@example(SORT_MIN - 1, (1 << 23) + 513, -1, 0)
+@example(SORT_MIN, (1 << 23) + 513, -1, 0)
+@example(SORT_MIN, 2, -1, 1)
 def test_grouped_cumcount_matches_int64_stable_sort(size, span, low, seed):
-    """Keys whose range fits in 15 bits sort as int16 by radix; the order,
-    and each element's occurrence number, are those of the int64 stable
-    sort, with region -1, sizes on both sides of ``RADIX_MIN`` and ranges
-    on both sides of the 15-bit cutoff."""
+    """From ``SORT_MIN`` keys on, the order and each element's occurrence
+    number come from one sort of distinct composites; they are those of
+    the int64 stable sort, with region -1, sizes on both sides of
+    ``SORT_MIN`` and key ranges up to 2^23-line addresses."""
     groups = low + np.random.default_rng(seed).integers(0, span + 1, size=size)
     groups[:2] = [low, low + span]  # the full range
     np.testing.assert_array_equal(
@@ -348,6 +358,52 @@ def test_grouped_cumcount_matches_int64_stable_sort(size, span, low, seed):
         expected.append(seen.get(g, 0))
         seen[g] = expected[-1] + 1
     np.testing.assert_array_equal(grouped_cumcount(groups), expected)
+
+
+def test_sort_floor(monkeypatch):
+    """Below ``SORT_MIN`` keys the composites come from numpy's stable
+    argsort; from ``SORT_MIN`` on, from one sort of the composites, to the
+    same values."""
+    keys = np.random.default_rng(3).integers(-1, 9, size=SORT_MIN)
+    expected = {}
+    for n in (SORT_MIN - 1, SORT_MIN):
+        order = np.argsort(keys[:n], kind="stable")
+        expected[n] = (keys[order] << n.bit_length()) + order
+    argsort, sizes = np.argsort, []
+
+    def spy(keys, *args, **kwargs):
+        sizes.append(len(keys))
+        return argsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    for n, composite in expected.items():
+        got, shift = sorted_composites(keys[:n])
+        assert shift == n.bit_length()
+        np.testing.assert_array_equal(got, composite)
+    assert sizes == [SORT_MIN - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 3 * SORT_MIN),
+    st.integers(1, 40),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_counts_before_matches_a_count(size, n_regions, share, seed):
+    """Fired writes of region ``rs[j]`` before position ``ps[j]``, for
+    regions -1 to one past the last and every position, against a count
+    over the fired writes."""
+    rng = np.random.default_rng(seed)
+    regions = rng.integers(-1, n_regions, size=size)
+    fired = np.flatnonzero((regions >= 0) & (rng.random(size) < share))
+    rs = rng.integers(-1, n_regions + 1, size=50)
+    ps = rng.integers(0, size + 1, size=50)
+    expected = [
+        sum(1 for f in fired.tolist() if regions[f] == r and f < p)
+        for r, p in zip(rs.tolist(), ps.tolist())
+    ]
+    np.testing.assert_array_equal(counts_before(regions, fired, rs, ps), expected)
 
 
 def test_spread_even_matches_spread_exact_per_region():

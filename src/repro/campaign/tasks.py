@@ -166,6 +166,9 @@ def run_lifetime_task(
 
 # ------------------------------------------------------------- simulate
 
+#: The parameters :func:`build_scheme` reads.
+SCHEME_PARAMS = ("interval", "regions", "outer", "stages")
+
 
 def build_scheme(
     name: str, n_lines: int, seed: int, params: Mapping[str, Scalar]
@@ -174,8 +177,8 @@ def build_scheme(
 
     :data:`repro.experiments.SCHEME_FACTORIES` builds every scheme with
     these defaults; ``regions`` / ``interval`` / ``outer`` / ``stages``
-    parameters override them (the knobs ``repro simulate`` has always
-    exposed).
+    parameters (:data:`SCHEME_PARAMS`) override them (the knobs
+    ``repro simulate`` has always exposed).
     """
     from repro.core.security_rbsg import SecurityRBSG
     from repro.wearlevel import (
@@ -385,25 +388,25 @@ def run_lifetime_ff_task(
     where even the chunk-exact engine is too slow: the trace is described
     by a :class:`~repro.sim.fastforward.TraceSpec` and the engine jumps
     whole remapping rounds analytically, dropping back to chunk-exact
-    near end-of-life (see docs/performance.md).  Parameters mirror
-    ``trace-lifetime`` plus ``fast_forward`` (``auto`` / ``analytic`` /
-    ``off``), ``n_shards`` (0 = monolithic array), ``memmap_dir`` and
-    ``spares`` (spare lines appended to the physical space — dealt
-    round-robin across shards when sharded).
+    near end-of-life (see docs/performance.md).  Parameters: ``scheme``,
+    ``trace``, ``lines``, ``endurance``, ``max_writes``, ``alpha``,
+    ``target``, ``fast_forward`` (``auto`` / ``analytic`` / ``off``) and
+    the scheme's :data:`SCHEME_PARAMS`.  Any other key raises
+    :class:`TaskError`, so a spec does not silently run a device other
+    than the one it names.
 
     The reported lifetime is the paper's **first-failure** metric.
-    ``spares`` provisions the pool — the array (and any memmap files)
-    grows, which is what a fleet-partitioned campaign needs sized
-    correctly — but retirement is a scalar-controller feature
-    (:class:`~repro.pcm.sparing.SparingController`), so the pool does
-    not extend this metric.  Wear statistics exclude the unworn spare
-    tail.
     """
     from repro.pcm.stats import WearStats
     from repro.sim.engine import run_trace_fast
     from repro.sim.fastforward import TRACE_KINDS, TraceSpec
     from repro.sim.memory_system import MemoryController
 
+    own = ("scheme", "trace", "lines", "endurance", "max_writes", "alpha",
+           "target", "fast_forward")
+    unknown = sorted(set(params) - set(own + SCHEME_PARAMS))
+    if unknown:
+        raise TaskError(f"lifetime-ff does not take parameters {unknown}")
     scheme_name = _str(params, "scheme")
     trace_name = _str(params, "trace")
     if trace_name not in TRACE_KINDS:
@@ -415,20 +418,10 @@ def run_lifetime_ff_task(
     endurance = _float(params, "endurance", 1e8)
     max_writes = params.get("max_writes")
     mode = str(params.get("fast_forward", "auto"))
-    n_shards = _int(params, "n_shards", 0)
-    memmap_dir = params.get("memmap_dir")
 
     config = PCMConfig(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
-    controller = MemoryController(
-        scheme,
-        config,
-        n_shards=n_shards if n_shards > 0 else None,
-        memmap_dir=None if memmap_dir is None else str(memmap_dir),
-    )
-    spares = _int(params, "spares", 0)
-    if spares:
-        controller.array.add_lines(spares)
+    controller = MemoryController(scheme, config)
     spec = TraceSpec(
         kind=trace_name,
         n_lines=n_lines,
@@ -443,16 +436,11 @@ def run_lifetime_ff_task(
         max_writes=None if max_writes is None else int(max_writes),
         fast_forward=mode,
     )
-    wear = controller.array.wear
-    if spares:  # spare PAs are contiguous at the end and unworn
-        wear = wear[:-spares]
-    gini = WearStats.from_wear(wear).gini
+    gini = WearStats.from_wear(controller.array.wear).gini
     return {
         "scheme": scheme_name,
         "trace": trace_name,
         "engine": f"fast-forward:{mode}",
-        "n_shards": n_shards,
-        "spares": spares,
         "user_writes": result.user_writes,
         "total_writes": result.total_writes,
         "elapsed_ns": result.elapsed_ns,

@@ -157,9 +157,9 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
     """``repro lifetime --paper-scale``: measured, not modelled.
 
     Drives the requested scheme at the paper's device scale (2^22 lines,
-    E = 1e8, a spare pool) on the analytic fast-forward engine, through
-    the same ``lifetime-ff`` task the distributed campaign runner uses —
-    one box, minutes instead of the chunk engine's hours.
+    E = 1e8) on the analytic fast-forward engine, through the same
+    ``lifetime-ff`` task the distributed campaign runner uses — one box,
+    minutes instead of the chunk engine's hours.
     """
     from repro.campaign.tasks import get_task
 
@@ -173,22 +173,17 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
         "lines": args.lines,
         "endurance": args.endurance,
         "fast_forward": args.fast_forward,
-        "n_shards": args.shards,
-        "spares": args.spares,
         "alpha": args.alpha,
         "regions": args.subregions if subregioned else args.regions,
         "interval": args.inner if subregioned else args.interval,
         "outer": args.outer,
         "stages": args.stages,
     }
-    if args.memmap_dir is not None:
-        params["memmap_dir"] = args.memmap_dir
     result = get_task("lifetime-ff")(params, args.seed)
     if args.json:
         print(json.dumps(result, sort_keys=True))
         return 0
-    print(f"device          : {args.lines} lines, E={args.endurance:g}, "
-          f"{args.spares} spares, {args.shards or 'no'} shards")
+    print(f"device          : {args.lines} lines, E={args.endurance:g}")
     print(f"scheme / trace  : {args.scheme} / {args.trace} "
           f"(seed {args.seed})")
     print(f"engine          : {result['engine']}")
@@ -816,14 +811,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "paper's 1 GB bank of 256 B lines)")
     p.add_argument("--endurance", type=float, default=1e8,
                    help="[--paper-scale] per-line endurance (default 1e8)")
-    p.add_argument("--spares", type=int, default=64,
-                   help="[--paper-scale] spare-pool lines provisioned "
-                        "(sizes the array/memmaps; lifetime reported is "
-                        "still the paper's first-failure metric)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="[--paper-scale] shard the array into N banks")
-    p.add_argument("--memmap-dir", default=None,
-                   help="[--paper-scale] back shard banks with memmap files")
     p.add_argument("--fast-forward", default="auto",
                    choices=["auto", "analytic", "off"],
                    help="[--paper-scale] engine tier policy")

@@ -8,7 +8,6 @@ preserving the side channel exactly (Fig. 4 of the paper).
 """
 
 from repro.pcm.array import PCMArray, LineFailure, UncorrectableError
-from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.ecc import CorrectionOutcome, ECPModel
 from repro.pcm.faults import FaultModel
 from repro.pcm.health import DeviceHealth
@@ -34,7 +33,6 @@ __all__ = [
     "LineData",
     "LineFailure",
     "PCMArray",
-    "ShardedPCMArray",
     "SparesExhausted",
     "SparingController",
     "TimingModel",

@@ -43,7 +43,7 @@ from repro.wearlevel.base import NO_MOVES, Moves
 class LineFailure(Exception):
     """Raised when a write lands on a line whose endurance is exhausted.
 
-    When the failing write was part of a :meth:`OrderedWrites.write_events`
+    When the failing write was part of a :meth:`PCMArray.write_events`
     (or ``write_many``) list, :attr:`chunk_index` carries the position of
     the user write it belongs to — the write itself, or the write whose
     remap movement failed — so the batched engine can attribute
@@ -89,208 +89,7 @@ class UncorrectableError(LineFailure):
         self.n_errors = n_errors
 
 
-class OrderedWrites:
-    """``write_many`` and ``write_events`` over a few storage primitives.
-
-    Shared by :class:`PCMArray` and
-    :class:`~repro.pcm.sharded.ShardedPCMArray`, which supply the gathers
-    ``_data_of``/``_wear_of``/``_limit_of``, the bulk store ``_store``
-    and the scalar ``write``/``copy``/``swap``.  See
-    :mod:`repro.pcm.events` for the event-list model.
-    """
-
-    config: PCMConfig
-    timing: TimingModel
-    faults: Optional[FaultModel]
-    elapsed_ns: float
-    total_writes: int
-    _first_failure: Optional[LineFailure]
-
-    def _data_of(self, pas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _wear_of(self, pas: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _limit_of(self, pas: np.ndarray) -> Union[float, np.ndarray]:
-        raise NotImplementedError
-
-    def _store(self, wear_pas: np.ndarray, pas: np.ndarray, datas: np.ndarray) -> None:
-        """Wear one write per entry of ``wear_pas`` (duplicates add up) and
-        store ``datas`` at ``pas`` in order (a repeated pa keeps its last)."""
-        raise NotImplementedError
-
-    def write(self, pa: int, data: LineData) -> float:
-        raise NotImplementedError
-
-    def copy(self, src: int, dst: int) -> float:
-        raise NotImplementedError
-
-    def swap(self, pa_a: int, pa_b: int) -> float:
-        raise NotImplementedError
-
-    def write_many(self, pas: np.ndarray, datas: np.ndarray) -> float:
-        """Write a chunk of lines; return the chunk's total latency in ns.
-
-        :meth:`write_events` without movements: bit-identical to calling
-        :meth:`write` once per element, duplicate ``pas`` included (wear
-        accumulates per occurrence, differential-write transitions chain
-        through the chunk, the last write wins for stored data).
-        """
-        return self.write_events(pas, datas)
-
-    def write_events(
-        self,
-        pas: np.ndarray,
-        datas: np.ndarray,
-        moves: Moves = NO_MOVES,
-        out: Optional[np.ndarray] = None,
-    ) -> float:
-        """Apply user writes and the remap movements between them in order.
-
-        ``moves = (at, swap, a, b)``: movement ``m`` runs just before user
-        write ``at[m]``, a swap of lines ``a[m]`` and ``b[m]`` when
-        ``swap[m]``, else a copy of line ``a[m]`` to line ``b[m]``
-        (:mod:`repro.pcm.events`).  Bit-identical to the scalar
-        :meth:`write`/:meth:`copy`/:meth:`swap` calls in that order; returns
-        their total latency in ns (latencies are integer-valued ns, so the
-        float sum is exact in any order).
-
-        The first line write that reaches its endurance is found from a
-        running count per line.  The events before it are applied in bulk
-        and its event through the scalar method, so the
-        :class:`LineFailure` holds the scalar path's wear, ``total_writes``
-        and ``elapsed_ns`` (a failing movement's latency included), and
-        its ``chunk_index`` is the user write the event belongs to.  With
-        ``raise_on_failure`` off the events after it follow in bulk.
-        Under fault injection, and for a single user write with its
-        movements, the list replays through the scalar methods.
-        ``pas`` and ``datas`` of different lengths raise ``ValueError``
-        before any state changes.
-
-        ``out``, a float64 array of ``len(pas)``, receives each user
-        write's latency with that of the movements that run before it:
-        what the scalar calls for that write and its movements return in
-        total.  After a :class:`LineFailure` only the entries before
-        ``chunk_index`` are set.  Without ``out`` nothing per write is
-        computed.
-        """
-        pas = np.ascontiguousarray(pas, dtype=np.int64)
-        datas = np.ascontiguousarray(datas, dtype=np.int8)
-        n = int(pas.size)
-        if datas.size != n:
-            raise ValueError(
-                f"chunk has {n} addresses but {datas.size} data values"
-            )
-        if out is not None and out.shape != (n,):
-            raise ValueError(f"out has shape {out.shape}, expected ({n},)")
-        at = moves[0]
-        if n + int(at.size) == 0:
-            return 0.0
-        if self.faults is not None or n == 1:
-            # Fault draws must happen per write, in order; and one write
-            # with its movements costs less through the scalar calls.
-            return self._replay(pas, datas, moves, out)
-        plan = EventPlan(self, pas, datas, moves)
-        wear_pas = plan.wear_pas()
-        # Cheap screen: even if every write landed on the most worn line
-        # touched, could anything fail?  Only then pay for the ordered test.
-        check = False
-        if self._first_failure is None:
-            limit = self._limit_of(wear_pas)
-            low = float(limit.min()) if isinstance(limit, np.ndarray) else limit
-            check = int(self._wear_of(wear_pas).max()) + int(wear_pas.size) >= low
-        if not (check or self.config.differential_writes):
-            table = self.timing.latency_table
-            ns = float(table[datas].sum())
-            if plan.move_dst.size:
-                ns += float(table[plan.move_value].sum())
-                ns += plan.move_dst.size * self.timing.read_latency()
-            if out is not None:
-                out[:] = table[datas]
-                plan.charge_moves(out)
-            self.elapsed_ns += ns
-            lines, values = plan.final
-            if lines.size:
-                pas = np.concatenate((pas, lines))
-                datas = np.concatenate((datas, values))
-            self._store(wear_pas, pas, datas)
-            self.total_writes += int(wear_pas.size)
-            return ns
-        plan.lines()
-        if out is not None:
-            out[:] = 0.0
-        stop = plan.first_failure() if check else None
-        if stop is None:
-            return self._apply(plan, 0, plan.size, out)
-        lo, hi, event, owner = stop
-        latency = self._apply(plan, 0, lo, out)
-        try:
-            ns = self._scalar_event(*event)
-        except LineFailure as failure:
-            failure.chunk_index = owner
-            raise
-        if out is not None:
-            out[owner] += ns
-        return latency + ns + self._apply(plan, hi, plan.size, out)
-
-    def _apply(
-        self, plan: EventPlan, lo: int, hi: int, out: Optional[np.ndarray]
-    ) -> float:
-        """Line writes ``[lo, hi)`` of a flattened ``plan``, with their
-        events' reads; their latency is added to ``out`` when given."""
-        if hi <= lo:
-            return 0.0
-        part = slice(lo, hi)
-        reads = plan.reads_between(lo, hi)
-        ns = float(np.sum(plan.latency[part])) + reads * self.timing.read_latency()
-        self.elapsed_ns += ns
-        if out is not None:
-            plan.charge_lines(out, lo, hi)
-        dst = plan.dst[part]
-        wear_pas = dst if plan.wears is None else dst[plan.wears[part]]
-        self._store(wear_pas, dst, plan.value[part])
-        self.total_writes += int(wear_pas.size)
-        return ns
-
-    def _scalar_event(self, kind: str, x: int, y: int) -> float:
-        if kind == "write":
-            return self.write(x, LineData(y))
-        if kind == "copy":
-            return self.copy(x, y)
-        return self.swap(x, y)
-
-    def _replay(
-        self,
-        pas: np.ndarray,
-        datas: np.ndarray,
-        moves: Moves,
-        out: Optional[np.ndarray],
-    ) -> float:
-        """Scalar replay of an event list; tags failures with the index of
-        the user write their event belongs to."""
-        at, swap, a, b = (column.tolist() for column in moves)
-        latency = 0.0
-        m = 0
-        for i in range(pas.size):
-            ns = 0.0
-            try:
-                while m < len(at) and at[m] <= i:
-                    kind = "swap" if swap[m] else "copy"
-                    ns += self._scalar_event(kind, a[m], b[m])
-                    m += 1
-                ns += self.write(int(pas[i]), LineData(int(datas[i])))
-            except LineFailure as failure:
-                if failure.chunk_index is None:
-                    failure.chunk_index = i
-                raise
-            if out is not None:
-                out[i] = ns
-            latency += ns
-        return latency
-
-
-class PCMArray(OrderedWrites):
+class PCMArray:
     """A bank of ``n_physical`` wear-limited lines.
 
     Parameters
@@ -449,15 +248,6 @@ class PCMArray(OrderedWrites):
         """Read without advancing time (for internal bookkeeping/tests)."""
         return LineData(int(self.data[pa]))
 
-    def copy_data(self, src: int, dst: int) -> None:
-        """Duplicate stored content ``src`` -> ``dst``, no wear, no latency.
-
-        The sparing layer's salvage step; shared API with
-        :class:`~repro.pcm.sharded.ShardedPCMArray`, whose ``data``
-        property is a read-only copy and cannot be poked directly.
-        """
-        self.data[dst] = self.data[src]
-
     def write(self, pa: int, data: LineData) -> float:
         """Write ``data`` to line ``pa``; return this write's latency in ns.
 
@@ -523,11 +313,172 @@ class PCMArray(OrderedWrites):
 
     # ------------------------------------------------------- batched I/O
 
-    def _data_of(self, pas: np.ndarray) -> np.ndarray:
-        return self.data[pas]
+    def write_many(self, pas: np.ndarray, datas: np.ndarray) -> float:
+        """Write a chunk of lines; return the chunk's total latency in ns.
 
-    def _wear_of(self, pas: np.ndarray) -> np.ndarray:
-        return self.wear[pas]
+        :meth:`write_events` without movements: bit-identical to calling
+        :meth:`write` once per element, duplicate ``pas`` included (wear
+        accumulates per occurrence, differential-write transitions chain
+        through the chunk, the last write wins for stored data).
+        """
+        return self.write_events(pas, datas)
+
+    def write_events(
+        self,
+        pas: np.ndarray,
+        datas: np.ndarray,
+        moves: Moves = NO_MOVES,
+        out: Optional[np.ndarray] = None,
+    ) -> float:
+        """Apply user writes and the remap movements between them in order.
+
+        ``moves = (at, swap, a, b)``: movement ``m`` runs just before user
+        write ``at[m]``, a swap of lines ``a[m]`` and ``b[m]`` when
+        ``swap[m]``, else a copy of line ``a[m]`` to line ``b[m]``
+        (:mod:`repro.pcm.events`).  Bit-identical to the scalar
+        :meth:`write`/:meth:`copy`/:meth:`swap` calls in that order; returns
+        their total latency in ns (latencies are integer-valued ns, so the
+        float sum is exact in any order).
+
+        The first line write that reaches its endurance is found from a
+        running count per line.  The events before it are applied in bulk
+        and its event through the scalar method, so the
+        :class:`LineFailure` holds the scalar path's wear, ``total_writes``
+        and ``elapsed_ns`` (a failing movement's latency included), and
+        its ``chunk_index`` is the user write the event belongs to.  With
+        ``raise_on_failure`` off the events after it follow in bulk.
+        Under fault injection, and for a single user write with its
+        movements, the list replays through the scalar methods.
+        ``pas`` and ``datas`` of different lengths, or movement positions
+        that do not ascend within ``[0, len(pas))`` (which no scalar
+        sequence produces), raise ``ValueError`` before any state changes.
+
+        ``out``, a float64 array of ``len(pas)``, receives each user
+        write's latency with that of the movements that run before it:
+        what the scalar calls for that write and its movements return in
+        total.  After a :class:`LineFailure` only the entries before
+        ``chunk_index`` are set.  Without ``out`` nothing per write is
+        computed.
+        """
+        pas = np.ascontiguousarray(pas, dtype=np.int64)
+        datas = np.ascontiguousarray(datas, dtype=np.int8)
+        n = int(pas.size)
+        if datas.size != n:
+            raise ValueError(
+                f"chunk has {n} addresses but {datas.size} data values"
+            )
+        if out is not None and out.shape != (n,):
+            raise ValueError(f"out has shape {out.shape}, expected ({n},)")
+        at = moves[0]
+        if at.size and (
+            int(at[0]) < 0
+            or int(at[-1]) >= n
+            or (at.size > 1 and bool((at[1:] < at[:-1]).any()))
+        ):
+            raise ValueError(f"movement positions must ascend within [0, {n})")
+        if n + int(at.size) == 0:
+            return 0.0
+        if self.faults is not None or n == 1:
+            # Fault draws must happen per write, in order; and one write
+            # with its movements costs less through the scalar calls.
+            return self._replay(pas, datas, moves, out)
+        plan = EventPlan(self, pas, datas, moves)
+        wear_pas = plan.wear_pas()
+        # Cheap screen: even if every write landed on the most worn line
+        # touched, could anything fail?  Only then pay for the ordered test.
+        check = False
+        if self._first_failure is None:
+            limit = self._limit_of(wear_pas)
+            low = float(limit.min()) if isinstance(limit, np.ndarray) else limit
+            check = int(self.wear[wear_pas].max()) + int(wear_pas.size) >= low
+        if not (check or self.config.differential_writes):
+            table = self.timing.latency_table
+            ns = float(table[datas].sum())
+            if plan.move_dst.size:
+                ns += float(table[plan.move_value].sum())
+                ns += plan.move_dst.size * self.timing.read_latency()
+            if out is not None:
+                out[:] = table[datas]
+                plan.charge_moves(out)
+            self.elapsed_ns += ns
+            lines, values = plan.final
+            if lines.size:
+                pas = np.concatenate((pas, lines))
+                datas = np.concatenate((datas, values))
+            self._store(wear_pas, pas, datas)
+            self.total_writes += int(wear_pas.size)
+            return ns
+        plan.lines()
+        if out is not None:
+            out[:] = 0.0
+        stop = plan.first_failure() if check else None
+        if stop is None:
+            return self._apply(plan, 0, plan.size, out)
+        lo, hi, event, owner = stop
+        latency = self._apply(plan, 0, lo, out)
+        try:
+            ns = self._scalar_event(*event)
+        except LineFailure as failure:
+            failure.chunk_index = owner
+            raise
+        if out is not None:
+            out[owner] += ns
+        return latency + ns + self._apply(plan, hi, plan.size, out)
+
+    def _apply(
+        self, plan: EventPlan, lo: int, hi: int, out: Optional[np.ndarray]
+    ) -> float:
+        """Line writes ``[lo, hi)`` of a flattened ``plan``, with their
+        events' reads; their latency is added to ``out`` when given."""
+        if hi <= lo:
+            return 0.0
+        part = slice(lo, hi)
+        reads = plan.reads_between(lo, hi)
+        ns = float(np.sum(plan.latency[part])) + reads * self.timing.read_latency()
+        self.elapsed_ns += ns
+        if out is not None:
+            plan.charge_lines(out, lo, hi)
+        dst = plan.dst[part]
+        wear_pas = dst if plan.wears is None else dst[plan.wears[part]]
+        self._store(wear_pas, dst, plan.value[part])
+        self.total_writes += int(wear_pas.size)
+        return ns
+
+    def _scalar_event(self, kind: str, x: int, y: int) -> float:
+        if kind == "write":
+            return self.write(x, LineData(y))
+        if kind == "copy":
+            return self.copy(x, y)
+        return self.swap(x, y)
+
+    def _replay(
+        self,
+        pas: np.ndarray,
+        datas: np.ndarray,
+        moves: Moves,
+        out: Optional[np.ndarray],
+    ) -> float:
+        """Scalar replay of an event list; tags failures with the index of
+        the user write their event belongs to."""
+        at, swap, a, b = (column.tolist() for column in moves)
+        latency = 0.0
+        m = 0
+        for i in range(pas.size):
+            ns = 0.0
+            try:
+                while m < len(at) and at[m] <= i:
+                    kind = "swap" if swap[m] else "copy"
+                    ns += self._scalar_event(kind, a[m], b[m])
+                    m += 1
+                ns += self.write(int(pas[i]), LineData(int(datas[i])))
+            except LineFailure as failure:
+                if failure.chunk_index is None:
+                    failure.chunk_index = i
+                raise
+            if out is not None:
+                out[i] = ns
+            latency += ns
+        return latency
 
     def _limit_of(self, pas: np.ndarray) -> Union[float, np.ndarray]:
         if self.endurance_map is None:
@@ -535,6 +486,8 @@ class PCMArray(OrderedWrites):
         return self.endurance_map[pas]
 
     def _store(self, wear_pas: np.ndarray, pas: np.ndarray, datas: np.ndarray) -> None:
+        """Wear one write per entry of ``wear_pas`` (duplicates add up) and
+        store ``datas`` at ``pas`` in order (a repeated pa keeps its last)."""
         np.add.at(self.wear, wear_pas, 1)
         # numpy fancy-index assignment stores values in index order, so a
         # repeated pa ends up holding its chronologically last value.

@@ -28,7 +28,7 @@ each user write's latency, the plan adds every line write's latency, a
 movement's reads included, to the user write it belongs to
 (:meth:`EventPlan.charge_moves`, :meth:`EventPlan.charge_lines`).
 
-:class:`~repro.pcm.array.OrderedWrites` applies a plan to either array.
+:meth:`~repro.pcm.array.PCMArray.write_events` applies a plan.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from repro.wearlevel.base import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pcm.array import OrderedWrites
+    from repro.pcm.array import PCMArray
 
 #: The scalar call that replays one event: ``(kind, x, y)``.
 Event = Tuple[str, int, int]
@@ -61,7 +61,7 @@ class EventPlan:
     """
 
     def __init__(
-        self, array: "OrderedWrites", pas: np.ndarray, datas: np.ndarray, moves: Moves
+        self, array: "PCMArray", pas: np.ndarray, datas: np.ndarray, moves: Moves
     ) -> None:
         self.array = array
         self.pas, self.datas, self.moves = pas, datas, moves
@@ -95,7 +95,7 @@ class EventPlan:
         user = last & ((1 << shift) - 1)
         user[(found < 0) | (last >> shift != reads)] = -1
         src_slot = np.searchsorted(lines, src)
-        stored = self.array._data_of(lines)
+        stored = self.array.data[lines]
         read = user[: src.size]
         value = np.where(read >= 0, self.datas[read], stored[src_slot]).tolist()
         # Movements read each other's writes: a source's last movement
@@ -180,7 +180,7 @@ class EventPlan:
         first = np.ones(self.size, dtype=bool)
         first[1:] = sorted_dst[1:] != sorted_dst[:-1]
         old_sorted = np.empty(self.size, dtype=np.int8)
-        old_sorted[first] = self.array._data_of(sorted_dst[first])
+        old_sorted[first] = self.array.data[sorted_dst[first]]
         repeats = np.flatnonzero(~first)
         old_sorted[repeats] = self.value[order[repeats - 1]]
         old = np.empty(self.size, dtype=np.int8)
@@ -214,7 +214,7 @@ class EventPlan:
             np.arange(self.size) if self.wears is None else np.flatnonzero(self.wears)
         )
         lines = self.dst[wearing]
-        count = array._wear_of(lines) + grouped_cumcount(lines) + 1
+        count = array.wear[lines] + grouped_cumcount(lines) + 1
         reached = count >= array._limit_of(lines)
         if not reached.any():
             return None

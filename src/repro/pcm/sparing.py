@@ -24,11 +24,10 @@ fail and be re-spared.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.config import PCMConfig
 from repro.pcm.array import LineFailure, PCMArray, UncorrectableError
-from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.health import DeviceHealth
 from repro.pcm.timing import LineData
 from repro.sim.memory_system import MemoryController
@@ -87,12 +86,6 @@ class SparingController:
         If True, exhausting the spare pool drops the device to read-only
         (writes raise :class:`DeviceReadOnly`, reads keep working)
         instead of raising :class:`SparesExhausted`.
-    n_shards / memmap_dir:
-        Forwarded to :class:`~repro.sim.memory_system.MemoryController`;
-        with ``n_shards`` set the substrate is a
-        :class:`~repro.pcm.sharded.ShardedPCMArray` and the spare pool is
-        dealt round-robin across the shards (global PAs stay contiguous,
-        so the remap table here is oblivious to the sharding).
     """
 
     def __init__(
@@ -104,8 +97,6 @@ class SparingController:
         rng: SeedLike = None,
         fault_rng: SeedLike = None,
         degraded_mode: bool = False,
-        n_shards: Optional[int] = None,
-        memmap_dir: Optional[str] = None,
     ) -> None:
         if n_spares < 0:
             raise ValueError("n_spares must be >= 0")
@@ -116,8 +107,6 @@ class SparingController:
             endurance_variation=endurance_variation,
             rng=rng,
             fault_rng=fault_rng,
-            n_shards=n_shards,
-            memmap_dir=memmap_dir,
         )
         # Extend the physical array with the spare pool (wear, data, stuck
         # cells and endurance map all grow consistently).
@@ -167,7 +156,8 @@ class SparingController:
             (self.inner.array.total_writes, int(failed_pa))
         )
         # Salvage the content (a real part does this before marking dead).
-        self.inner.array.copy_data(failed_pa, replacement)
+        array = self.inner.array
+        array.data[replacement] = array.data[failed_pa]
 
     # ----------------------------------------------------------------- API
 
@@ -242,7 +232,7 @@ class SparingController:
         return self.inner.scheme
 
     @property
-    def array(self) -> Union[PCMArray, ShardedPCMArray]:
+    def array(self) -> PCMArray:
         return self.inner.array
 
     @property

@@ -18,14 +18,13 @@ latency, which is how the attacks observe a chunk.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.config import PCMConfig
 from repro.pcm.array import LineFailure, PCMArray
 from repro.pcm.health import DeviceHealth
-from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.timing import LineData
 from repro.util.rng import SeedLike
 from repro.wearlevel.base import SCALAR_WRITE, CopyMove, SwapMove, WearLeveler
@@ -45,12 +44,6 @@ class MemoryController:
         Forwarded to :class:`~repro.pcm.array.PCMArray`; when True (default)
         the first worn-out line raises
         :class:`~repro.pcm.array.LineFailure`, ending a lifetime experiment.
-    n_shards / memmap_dir:
-        When ``n_shards`` is set the physical substrate is a
-        :class:`~repro.pcm.sharded.ShardedPCMArray` (per-sub-region banks,
-        optionally memmap-backed under ``memmap_dir``) so paper-scale
-        devices no longer need one resident allocation.  Incompatible with
-        ``endurance_variation`` and fault injection.
     """
 
     def __init__(
@@ -62,8 +55,6 @@ class MemoryController:
         endurance_variation: float = 0.0,
         rng: SeedLike = None,
         fault_rng: SeedLike = None,
-        n_shards: Optional[int] = None,
-        memmap_dir: Optional[str] = None,
     ) -> None:
         if scheme.n_lines != config.n_lines:
             raise ValueError(
@@ -72,31 +63,15 @@ class MemoryController:
             )
         self.scheme = scheme
         self.config = config
-        self.array: Union[PCMArray, ShardedPCMArray]
-        if n_shards is not None:
-            if endurance_variation > 0:
-                raise ValueError(
-                    "endurance_variation is not supported with a sharded "
-                    "array (per-line endurance maps do not shard)"
-                )
-            self.array = ShardedPCMArray(
-                config,
-                n_physical=scheme.n_physical,
-                initial_data=initial_data,
-                raise_on_failure=raise_on_failure,
-                n_shards=n_shards,
-                memmap_dir=memmap_dir,
-            )
-        else:
-            self.array = PCMArray(
-                config,
-                n_physical=scheme.n_physical,
-                initial_data=initial_data,
-                raise_on_failure=raise_on_failure,
-                endurance_variation=endurance_variation,
-                rng=rng,
-                fault_rng=fault_rng,
-            )
+        self.array = PCMArray(
+            config,
+            n_physical=scheme.n_physical,
+            initial_data=initial_data,
+            raise_on_failure=raise_on_failure,
+            endurance_variation=endurance_variation,
+            rng=rng,
+            fault_rng=fault_rng,
+        )
 
     # ----------------------------------------------------------------- API
 
@@ -135,7 +110,7 @@ class MemoryController:
         """Write a whole chunk; bit-identical to one :meth:`write` per entry.
 
         Each window of the scheme's walk goes to the array in one
-        :meth:`~repro.pcm.array.OrderedWrites.write_events`: its user
+        :meth:`~repro.pcm.array.PCMArray.write_events`: its user
         writes and the remap movements between them, in scalar order, so
         each movement's latency still lands on the write that triggered
         it.  The window is then committed, or on a

@@ -14,7 +14,7 @@ so the caller must execute them (in order) before translating the write.
 ``chunk_runs`` is the batched twin: it walks a chunk of writes as
 :class:`Window` s, each a list of user writes with the movements between
 them (:data:`Moves`) that the array applies in one call
-(:meth:`repro.pcm.array.OrderedWrites.write_events`).  The
+(:meth:`repro.pcm.array.PCMArray.write_events`).  The
 region-partitioned schemes share one closed-form walk,
 :func:`walk_windows`.
 """

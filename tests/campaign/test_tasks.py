@@ -44,6 +44,41 @@ class TestPaperScaleDefaults:
         assert built == [PAPER_PCM.n_lines]
 
 
+class TestLifetimeFFParameters:
+    """``lifetime-ff`` refuses a key it does not read rather than run a
+    device other than the spec names."""
+
+    BASE = {"scheme": "security-rbsg", "trace": "uniform"}
+
+    @pytest.fixture(autouse=True)
+    def stop_before_the_run(self, monkeypatch):
+        def stop(name, n_lines, seed, params):
+            raise TaskError("stop before the run")
+
+        monkeypatch.setattr(tasks, "build_scheme", stop)
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{"spares": 64}, {"interva": 8}, {"n_spares": 8, "fast": True}],
+        ids=["spares", "typo", "other-tasks-keys"],
+    )
+    def test_unknown_keys_raise(self, extra):
+        with pytest.raises(TaskError) as info:
+            get_task("lifetime-ff")({**self.BASE, **extra}, 1)
+        assert str(info.value) == (
+            f"lifetime-ff does not take parameters {sorted(extra)}"
+        )
+
+    def test_every_key_it_reads_is_accepted(self):
+        params = {
+            **self.BASE, "lines": 256, "endurance": 1e4, "max_writes": 10,
+            "alpha": 1.1, "target": 3, "fast_forward": "off",
+            **{key: 4 for key in tasks.SCHEME_PARAMS},
+        }
+        with pytest.raises(TaskError, match="stop before the run"):
+            get_task("lifetime-ff")(params, 1)
+
+
 class TestTraceLifetimeTask:
     def test_registered(self):
         assert "trace-lifetime" in task_kinds()

@@ -120,29 +120,17 @@ class TestPaperScaleLifetime:
     ]
 
     def test_json_run_to_failure(self, capsys):
-        assert main(self.ARGS + ["--spares", "8", "--json"]) == 0
+        assert main(self.ARGS + ["--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["scheme"] == "start-gap"
         assert payload["failed"] is True
         assert payload["engine"] == "fast-forward:analytic"
-        assert payload["spares"] == 8
-        # First-failure metric: provisioning spares changes nothing but
-        # the physical size (and the JSON field).
-        assert main(self.ARGS + ["--spares", "0", "--json"]) == 0
-        bare = json.loads(capsys.readouterr().out)
-        assert bare["user_writes"] == payload["user_writes"]
-        assert bare["wear_gini"] == payload["wear_gini"]  # spare tail excluded
 
-    def test_deterministic_and_sharded_identical(self, capsys):
+    def test_deterministic(self, capsys):
         assert main(self.ARGS + ["--json"]) == 0
         first = capsys.readouterr().out
         assert main(self.ARGS + ["--json"]) == 0
         assert capsys.readouterr().out == first
-        assert main(self.ARGS + ["--shards", "4", "--json"]) == 0
-        sharded = json.loads(capsys.readouterr().out)
-        mono = json.loads(first)
-        assert sharded.pop("n_shards") == 4 and mono.pop("n_shards") == 0
-        assert sharded == mono
 
     def test_text_report(self, capsys):
         assert main(self.ARGS) == 0

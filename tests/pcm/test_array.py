@@ -186,6 +186,74 @@ class TestBulkWear:
         assert array.remaining_endurance()[3] == 0
 
 
+def array_state(array):
+    return (
+        array.wear.tolist(), array.data.tolist(), array.total_writes,
+        array.elapsed_ns,
+    )
+
+
+class TestApplyWearBulk:
+    """The fast-forward commit point: all of a dense increment, or none."""
+
+    def test_commit_advances_wear_writes_and_time(self):
+        array = make_array(endurance=100)
+        counts = np.arange(16, dtype=np.int64)
+        assert array.apply_wear_bulk(counts, 123.0)
+        assert array.wear.tolist() == counts.tolist()
+        assert array.total_writes == int(counts.sum())
+        assert array.elapsed_ns == 123.0
+
+    @pytest.mark.parametrize("variation", [0.0, 0.2])
+    def test_refused_commit_changes_nothing(self, variation):
+        array = make_array(endurance=100, endurance_variation=variation, rng=3)
+        assert array.apply_wear_bulk(np.full(16, 10, dtype=np.int64), 5.0)
+        before = array_state(array)
+        counts = np.zeros(16, dtype=np.int64)
+        counts[0] = 1
+        # Line 15 alone reaches its endurance.
+        counts[15] = int(np.ceil(array.remaining_endurance()[15]))
+        assert not array.apply_wear_bulk(counts, 7.0)
+        assert array_state(array) == before
+        counts[15] -= 1  # one short of it commits
+        assert array.apply_wear_bulk(counts, 7.0)
+
+    @pytest.mark.parametrize(
+        "counts", [np.zeros(15, np.int64), np.zeros((16, 1), np.int64)]
+    )
+    def test_rejects_wrong_shape(self, counts):
+        with pytest.raises(ValueError, match="dense over 16 lines"):
+            make_array().apply_wear_bulk(counts, 0.0)
+
+    def test_rejects_negative_count(self):
+        counts = np.zeros(16, dtype=np.int64)
+        counts[4] = -1
+        with pytest.raises(ValueError, match="negative"):
+            make_array().apply_wear_bulk(counts, 0.0)
+
+    def test_rejects_fault_injection(self):
+        array = PCMArray(PCMConfig(n_lines=16, read_disturb_ber=1e-3))
+        with pytest.raises(ValueError, match="fault injection"):
+            array.apply_wear_bulk(np.zeros(16, dtype=np.int64), 0.0)
+
+
+class TestFillData:
+    def test_sets_only_the_prefix_without_wear_or_time(self):
+        array = make_array()
+        array.write(12, ALL1)
+        before = array_state(array)
+        array.fill_data(MIXED, 5)
+        after = array_state(array)
+        assert after[1] == [int(MIXED)] * 5 + before[1][5:]
+        assert after[0] == before[0] and after[2:] == before[2:]
+
+    def test_whole_array_by_default(self):
+        array = make_array(n_physical=20)
+        array.fill_data(ALL1)
+        assert array.data.tolist() == [int(ALL1)] * 20
+        assert array.total_writes == 0 and array.elapsed_ns == 0.0
+
+
 class TestQueries:
     def test_max_wear(self):
         array = make_array()

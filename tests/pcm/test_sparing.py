@@ -93,6 +93,17 @@ class TestSparingController:
         data, _ = controller.read(3)
         assert data == ALL1
 
+    def test_retirement_salvages_content_without_wear_or_time(self):
+        controller = self.make()
+        controller.write(3, MIXED)
+        array = controller.array
+        wear, elapsed = array.wear.copy(), array.elapsed_ns
+        controller._spare_out(3)
+        spare = controller._redirect(3)
+        assert spare == controller._spare_base
+        assert array.peek(spare) == MIXED
+        assert np.array_equal(array.wear, wear) and array.elapsed_ns == elapsed
+
     def test_spares_exhausted_raises(self):
         controller = self.make(n_spares=2, endurance=50)
         with pytest.raises(SparesExhausted) as info:

@@ -4,8 +4,8 @@ The chunk engine's bit-identity suite (``test_fast_engine.py``) covers the
 trace matrix at 2^8 lines; these tests pin what it does not: the
 chunk-level return value, an odd address width (2^9 lines, where every
 Feistel network cycle-walks), a DFN key rotation inside a chunk, a line
-failure on each kind of event of a window, the ordered-event apply of
-both arrays against a scalar replay, and a malformed chunk leaving no
+failure on each kind of event of a window, the ordered-event apply
+against a scalar replay, and a malformed chunk or event list leaving no
 partial state behind.
 """
 
@@ -18,7 +18,6 @@ import pytest
 from repro.campaign.tasks import build_scheme
 from repro.config import PCMConfig
 from repro.pcm.array import LineFailure, PCMArray
-from repro.pcm.sharded import ShardedPCMArray
 from repro.pcm.timing import ALL0, ALL1, MIXED, LineData
 from repro.sim.engine import run_trace, run_trace_fast
 from repro.sim.memory_system import MemoryController
@@ -457,7 +456,6 @@ def outcome(array, apply, n):
 
 ARRAYS = {
     "monolithic": lambda config: PCMArray(config, n_physical=16),
-    "sharded": lambda config: ShardedPCMArray(config, n_physical=16, n_shards=3),
 }
 
 
@@ -625,12 +623,7 @@ def array_state(array):
 
 
 @pytest.mark.parametrize(
-    "make_array",
-    [
-        lambda config: PCMArray(config),
-        lambda config: ShardedPCMArray(config, n_shards=3),
-    ],
-    ids=["monolithic", "sharded"],
+    "make_array", [lambda config: PCMArray(config)], ids=["monolithic"]
 )
 def test_write_many_length_mismatch_changes_nothing(make_array):
     array = make_array(PCMConfig(n_lines=16, endurance=1e9))
@@ -640,6 +633,25 @@ def test_write_many_length_mismatch_changes_nothing(make_array):
         array.write_many(np.arange(8), np.ones(3, np.int8))
     after = array_state(array)
     assert np.array_equal(after[0], before[0]) and after[1:] == before[1:]
+
+
+@pytest.mark.parametrize(
+    "n, at",
+    [(0, [0]), (2, [2]), (2, [5]), (2, [-1]), (3, [2, 0])],
+    ids=["no-writes", "at-end", "past-end", "negative", "descending"],
+)
+def test_write_events_bad_positions_change_nothing(n, at):
+    # No scalar sequence puts a movement after the last user write, before
+    # the first, or out of order.
+    array = PCMArray(PCMConfig(n_lines=16, endurance=1e9))
+    array.write_many(np.arange(4), np.full(4, int(ALL1), np.int8))
+    wear, data = array.wear.copy(), array.data.copy()
+    writes, elapsed = array.total_writes, array.elapsed_ns
+    moves = as_moves([(m, False, 1, 9) for m in at])
+    with pytest.raises(ValueError, match="movement positions"):
+        array.write_events(np.arange(n) + 2, np.full(n, int(MIXED), np.int8), moves)
+    assert np.array_equal(array.wear, wear) and np.array_equal(array.data, data)
+    assert (array.total_writes, array.elapsed_ns) == (writes, elapsed)
 
 
 def test_write_chunk_length_mismatch_changes_nothing():

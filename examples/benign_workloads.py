@@ -11,8 +11,6 @@ around the weak lines' share.
 Run:  python examples/benign_workloads.py
 """
 
-import numpy as np
-
 from repro import (
     MemoryController,
     NoWearLeveling,
@@ -22,8 +20,8 @@ from repro import (
     TwoLevelSecurityRefresh,
 )
 from repro.pcm.stats import WearStats
-from repro.sim.engine import run_trace
-from repro.sim.trace import zipf_trace
+from repro.sim.engine import run_trace_fast
+from repro.sim.trace import sequential_chunks, zipf_chunks
 
 N_LINES = 2**9
 ENDURANCE = 2e4
@@ -50,9 +48,9 @@ print("-" * 60)
 for name, factory in SCHEMES.items():
     config = PCMConfig(n_lines=N_LINES, endurance=ENDURANCE)
     controller = MemoryController(factory(), config)
-    result = run_trace(
+    result = run_trace_fast(
         controller,
-        zipf_trace(N_LINES, alpha=1.2, rng=7),
+        zipf_chunks(N_LINES, alpha=1.2, rng=7),
         max_writes=BUDGET,
     )
     gini = WearStats.from_wear(controller.array.wear).gini
@@ -65,15 +63,13 @@ print("\nWith 25% per-line endurance variation (weak lines), uniform "
       "round-robin traffic:")
 print(f"{'scheme':>14} | {'writes to failure':>18} | {'of ideal':>8}")
 print("-" * 48)
-from repro.sim.trace import sequential_trace
-
 for name, factory in SCHEMES.items():
     config = PCMConfig(n_lines=N_LINES, endurance=ENDURANCE)
     controller = MemoryController(
         factory(), config, endurance_variation=0.25, rng=3
     )
-    result = run_trace(
-        controller, sequential_trace(N_LINES), max_writes=BUDGET
+    result = run_trace_fast(
+        controller, sequential_chunks(N_LINES), max_writes=BUDGET
     )
     writes = result.user_writes if result.failed else BUDGET
     label = f"{writes}" if result.failed else f">{BUDGET}"

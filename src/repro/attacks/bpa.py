@@ -34,8 +34,9 @@ class BirthdayParadoxAttack:
         rng: SeedLike = None,
     ):
         """``dwell_writes`` defaults to a Start-Gap-style Line Vulnerability
-        Factor estimate: enough writes that a typical scheme has moved the
-        line once (``n_lines`` writes if the scheme exposes no interval)."""
+        Factor estimate: enough writes that the scheme's region bank has
+        moved the line once (``n_lines`` writes if the scheme has no
+        bank)."""
         self.controller = controller
         self.data = data
         self._rng = as_generator(rng)
@@ -46,16 +47,14 @@ class BirthdayParadoxAttack:
         self.dwell_writes = dwell_writes
 
     def _default_dwell(self) -> int:
+        """One rotation of the scheme's inner region bank, the longest a
+        line can stay put: ``size * remap_interval`` of ``inners`` if the
+        scheme has them, else of ``regions``; ``n_lines`` without a bank."""
         scheme = self.controller.scheme
-        n_lines = scheme.n_lines
-        interval = getattr(scheme, "remap_interval", None)
-        if interval is None:
-            interval = getattr(scheme, "inner_interval", 1)
-        regions = getattr(scheme, "n_regions", None)
-        if regions is None:
-            regions = getattr(scheme, "n_subregions", 1)
-        # One full region rotation: the longest a line can stay put.
-        return max(1, (n_lines // regions) * interval)
+        bank = getattr(scheme, "inners", None) or getattr(scheme, "regions", None)
+        if bank is None:
+            return max(1, scheme.n_lines)
+        return max(1, bank.size * bank.remap_interval)
 
     def run(self, max_writes: int = 100_000_000) -> AttackResult:
         """Hammer random addresses until a line fails or the budget ends.

@@ -79,8 +79,10 @@ class SRTimingAttack:
         tolerance_ns: float = 1.0,
     ):
         scheme = controller.scheme
-        if not isinstance(scheme, SecurityRefresh):
-            raise TypeError("SRTimingAttack requires a SecurityRefresh scheme")
+        if not isinstance(scheme, SecurityRefresh) or scheme.n_subregions != 1:
+            raise TypeError(
+                "SRTimingAttack requires a one-region SecurityRefresh scheme"
+            )
         if target_la == 0:
             raise ValueError("LA 0 is the probe address; pick another target")
         self.controller = controller
@@ -88,7 +90,7 @@ class SRTimingAttack:
         self.target_la = target_la
         self.n_lines = scheme.n_lines
         self.n_bits = bit_length_exact(scheme.n_lines)
-        self.remap_interval = scheme.region.remap_interval
+        self.remap_interval = scheme.regions.remap_interval
         self.mirror = _SRMirror(self.n_lines, self.remap_interval)
         self.detection_writes = 0
         self.synchronized = False

@@ -2,7 +2,7 @@
 
 A *task function* maps ``(params, seed) -> JSON-able result dict``.  It
 runs inside worker processes, so it must be a module-level function and
-both its inputs and outputs must survive pickling/JSON.  Four kinds
+both its inputs and outputs must survive pickling/JSON.  Six kinds
 ship with the library:
 
 * ``lifetime`` — closed-form paper-scale lifetime of a (scheme, attack)
@@ -17,12 +17,17 @@ ship with the library:
   budget on the batched engine
   (:func:`repro.sim.engine.run_trace_fast`); measured lifetime and
   write overhead rather than closed-form.
+* ``lifetime-ff`` — paper-scale measured lifetime of one (scheme,
+  trace) point on the analytic fast-forward tier.
 * ``tenant-lifetime`` — drive one scheme with multi-tenant mixed
   traffic (:class:`repro.traffic.TenantMixer`): a grid point over
   tenant count × skew × churn, measured on the batched engine.
 * ``faults``   — one seeded fault-injection campaign
   (:func:`repro.analysis.resilience.run_fault_campaign`); the PR-1
   sweep, gridded.
+
+Every built-in kind refuses a parameter it does not read with a
+:class:`TaskError` naming it.
 
 Register additional kinds with :func:`register_task_kind` (tests use
 this for crash/timeout probes).  The registry is a plain dict in the
@@ -34,7 +39,7 @@ register custom kinds at import time of an importable module instead.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Tuple
 
 from repro.campaign.spec import Scalar
 from repro.config import (
@@ -101,6 +106,17 @@ def _str(params: Mapping[str, Scalar], name: str) -> str:
         raise TaskError(f"task needs parameter {name!r}") from None
 
 
+def _check_params(
+    kind: str, params: Mapping[str, Scalar], allowed: Iterable[str]
+) -> None:
+    """Refuse every key of ``params`` the ``kind`` task does not read
+    (:class:`TaskError` naming them), so a spec does not silently run a
+    device other than the one it names."""
+    unknown = sorted(set(params) - set(allowed))
+    if unknown:
+        raise TaskError(f"{kind} does not take parameters {unknown}")
+
+
 # ------------------------------------------------------------- lifetime
 
 
@@ -118,6 +134,10 @@ def run_lifetime_task(
         rta_two_level_sr_lifetime_ns,
     )
 
+    _check_params("lifetime", params, (
+        "scheme", "attack", "lines", "endurance", "regions", "interval",
+        "subregions", "inner", "outer", "stages",
+    ))
     scheme = _str(params, "scheme")
     attack = _str(params, "attack")
     pcm = PAPER_PCM.scaled(
@@ -243,6 +263,10 @@ def run_simulate_task(
     from repro.pcm.stats import WearStats
     from repro.sim.memory_system import MemoryController
 
+    _check_params("simulate", params, (
+        "scheme", "attack", "lines", "endurance", "budget", "target",
+        "knowledge_interval", *SCHEME_PARAMS,
+    ))
     scheme_name = _str(params, "scheme")
     attack_name = _str(params, "attack")
     n_lines = _int(params, "lines", 512)
@@ -316,6 +340,11 @@ def run_trace_lifetime_task(
     )
     from repro.traffic.adapter import open_trace_chunks, open_trace_entries
 
+    _check_params("trace-lifetime", params, (
+        "scheme", "trace", "trace_file", "line_bytes", "window_start",
+        "window_mode", "lines", "endurance", "max_writes", "alpha", "target",
+        "fast", *SCHEME_PARAMS,
+    ))
     scheme_name = _str(params, "scheme")
     trace_file = params.get("trace_file")
     trace_name = _str(params, "trace") if trace_file is None else str(
@@ -402,11 +431,10 @@ def run_lifetime_ff_task(
     from repro.sim.fastforward import TRACE_KINDS, TraceSpec
     from repro.sim.memory_system import MemoryController
 
-    own = ("scheme", "trace", "lines", "endurance", "max_writes", "alpha",
-           "target", "fast_forward")
-    unknown = sorted(set(params) - set(own + SCHEME_PARAMS))
-    if unknown:
-        raise TaskError(f"lifetime-ff does not take parameters {unknown}")
+    _check_params("lifetime-ff", params, (
+        "scheme", "trace", "lines", "endurance", "max_writes", "alpha",
+        "target", "fast_forward", *SCHEME_PARAMS,
+    ))
     scheme_name = _str(params, "scheme")
     trace_name = _str(params, "trace")
     if trace_name not in TRACE_KINDS:
@@ -474,6 +502,11 @@ def run_tenant_lifetime_task(
     from repro.sim.memory_system import MemoryController
     from repro.traffic.profiles import load_traffic_spec, mixed_spec
 
+    _check_params("tenant-lifetime", params, (
+        "scheme", "lines", "endurance", "max_writes", "fast", "profile",
+        "tenants", "alpha", "churn_interval", "churn_fraction",
+        "churn_boost", "schedule_interval", *SCHEME_PARAMS,
+    ))
     scheme_name = _str(params, "scheme")
     n_lines = _int(params, "lines", 4096)
     endurance = _float(params, "endurance", 1e4)
@@ -528,8 +561,11 @@ def run_faults_task(
     """One seeded fault-injection campaign on one (scheme, config) point."""
     from repro.analysis.resilience import run_fault_campaign
 
-    scheme = _str(params, "scheme")
     pcm_fields = {f.name for f in dataclasses.fields(PCMConfig)}
+    _check_params("faults", params, (
+        "scheme", "n_spares", "n_writes", "degraded_mode", *pcm_fields,
+    ))
+    scheme = _str(params, "scheme")
     config = PCMConfig(  # type: ignore[arg-type]
         **{k: v for k, v in params.items() if k in pcm_fields}
     )

@@ -8,8 +8,8 @@ down.
 
 Interval discovery is duck-typed: the wrapper rescales every
 ``remap_interval`` / ``inner_interval`` / ``outer_interval`` attribute it
-finds on the scheme and on its ``region`` / ``regions`` / ``inners`` /
-``outer`` sub-objects (region banks share one interval across their
+finds on the scheme and on its ``regions`` / ``inners`` / ``outer``
+sub-objects (region banks share one interval across their
 regions) — which covers every scheme in this library.
 
 This is the mechanism the paper's §III-B warns about: against RAA/BPA it
@@ -27,7 +27,7 @@ from repro.defense.attack_detector import OnlineAttackDetector
 from repro.wearlevel.base import Move, WearLeveler
 
 _INTERVAL_FIELDS = ("remap_interval", "inner_interval", "outer_interval")
-_SUBOBJECT_FIELDS = ("region", "regions", "inners", "outer")
+_SUBOBJECT_FIELDS = ("regions", "inners", "outer")
 
 
 def _interval_slots(scheme) -> List[Tuple[object, str, int]]:

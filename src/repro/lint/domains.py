@@ -125,8 +125,6 @@ _PCM_SIGS: Dict[str, DomainSig] = {
     "write_events": DomainSig((PA, None, None), None),
     "read": DomainSig((PA,), None),
     "read_with_latency": DomainSig((PA,), None),
-    "bulk_wear": DomainSig((PA,), None),
-    "mark_stuck": DomainSig((PA,), None),
 }
 
 #: The memory controller fronts the scheme: it *consumes* LAs.

@@ -27,7 +27,7 @@ model.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -559,50 +559,6 @@ class PCMArray:
             if self.raise_on_failure:
                 raise failure
 
-    def bulk_wear(
-        self,
-        pas: Union[int, slice, Sequence[int], np.ndarray],
-        counts: Union[int, np.ndarray],
-        write_ns: Optional[float] = None,
-    ) -> None:
-        """Apply ``counts`` writes to ``pas`` in one vectorized operation.
-
-        Used by the batched simulation engines (remap- and round-granularity)
-        where per-write accounting would be prohibitive.  ``counts`` may be a
-        scalar (same count for every addressed line) or an array matching
-        ``pas``.  Time advances by ``total_new_writes * write_ns`` (default:
-        one SET pulse per write, the paper's accounting).
-
-        Note: when ``pas`` contains duplicate indices, ``counts`` must be a
-        scalar (numpy fancy-index ``+=`` does not accumulate duplicates, so
-        we route through ``np.add.at`` only for the array-count case).
-        """
-        if write_ns is None:
-            write_ns = self.config.set_ns
-        if np.isscalar(counts):
-            counts_arr = None
-            if isinstance(pas, slice):
-                n_targets = len(range(*pas.indices(self.n_physical)))
-                # reprolint: disable=REP302 slice index: no duplicates possible
-                self.wear[pas] += int(counts)
-            elif np.isscalar(pas):
-                n_targets = 1
-                # reprolint: disable=REP302 scalar index: single element
-                self.wear[pas] += int(counts)
-            else:
-                idx = np.asarray(pas)
-                n_targets = idx.size
-                np.add.at(self.wear, idx, int(counts))
-            new_writes = int(counts) * n_targets
-        else:
-            counts_arr = np.asarray(counts, dtype=np.int64)
-            idx = np.asarray(pas)
-            np.add.at(self.wear, idx, counts_arr)
-            new_writes = int(counts_arr.sum())
-        self.total_writes += new_writes
-        self.elapsed_ns += new_writes * write_ns
-        self._check_bulk_failure(pas)
-
     def apply_wear_bulk(self, counts: np.ndarray, elapsed_ns: float) -> bool:
         """Apply a dense per-line wear increment atomically, or refuse.
 
@@ -661,39 +617,6 @@ class PCMArray:
         if end is None:
             end = self.n_physical
         self.data[:end] = np.int8(int(value))
-
-    def _check_bulk_failure(
-        self, pas: Union[int, slice, Sequence[int], np.ndarray]
-    ) -> None:
-        if isinstance(pas, slice) or not np.isscalar(pas):
-            region = self.wear[pas]
-            if self.endurance_map is None:
-                limit = self.config.endurance
-            else:
-                limit = self.endurance_map[pas]
-            over = region >= limit
-            if over.any():
-                local = int(np.argmax(over))
-                if isinstance(pas, slice):
-                    pa = range(*pas.indices(self.n_physical))[local]
-                else:
-                    pa = int(np.asarray(pas)[local])
-            else:
-                return
-        else:
-            if self.wear[pas] < self._endurance_of(int(pas)):
-                return
-            pa = int(pas)
-        failure = LineFailure(
-            pa=pa,
-            wear=int(self.wear[pa]),
-            total_writes=self.total_writes,
-            elapsed_ns=self.elapsed_ns,
-        )
-        if self._first_failure is None:
-            self._first_failure = failure
-        if self.raise_on_failure:
-            raise failure
 
     # -------------------------------------------------------------- status
 

@@ -206,8 +206,6 @@ def run_fast_forward(
     max_writes: Optional[int] = None,
     *,
     batch: Optional[int] = None,
-    floor: Optional[int] = None,
-    rng: SeedLike = None,
 ):
     """Drive ``controller`` with ``spec`` through the analytic tier.
 
@@ -216,10 +214,11 @@ def run_fast_forward(
     stochastic part as Poisson counts, and commit through
     ``apply_wear_bulk`` — which refuses (mutating nothing) if any line
     would cross its limit, in which case ``W`` halves and the round is
-    redrawn.  When ``W`` falls below ``floor`` the remaining trace runs
-    through the chunk-exact engine, which attributes the failing write
-    exactly (and scalar-replays remap-boundary writes), so end-of-life
-    behaviour is genuine, not modelled.
+    redrawn.  When ``W`` falls below a floor (``max(8 * batch, n_lines //
+    8)``) the remaining trace runs through the chunk-exact engine, which
+    attributes the failing write exactly, so end-of-life behaviour is
+    genuine, not modelled.  The Poisson draws come from their own stream,
+    derived from the spec's seed when it is an int.
 
     Returns a :class:`repro.sim.engine.SimulationResult`; ``total_writes``
     and ``elapsed_ns`` are read from the controller, which both tiers
@@ -237,11 +236,9 @@ def run_fast_forward(
         )
     if batch is None:
         batch = spec.batch
-    if floor is None:
-        floor = max(8 * batch, scheme.n_lines // 8)
-    if rng is None and isinstance(spec.seed, int):
-        # Independent of the trace stream, reproducible from the spec seed.
-        rng = derive_seed(spec.seed, "fast-forward")
+    floor = max(8 * batch, scheme.n_lines // 8)
+    # Independent of the trace stream, reproducible from the spec seed.
+    rng = derive_seed(spec.seed, "fast-forward") if isinstance(spec.seed, int) else None
     gen = as_generator(rng)
 
     if array.endurance_map is None:
@@ -251,7 +248,6 @@ def run_fast_forward(
 
     n_scheme = scheme.n_physical
     user_writes = 0
-    analytic_ns = 0.0
     shrink = 1.0
     filled = False
 
@@ -324,7 +320,8 @@ def run_fast_forward(
                 break
             continue
         shrink = min(1.0, shrink * 2.0)
-        analytic_ns += scheme.apply_round(profile)
+        # reprolint: disable=REP002 apply_wear_bulk already counted the round's time
+        scheme.apply_round(profile)
         spec.skip(profile.writes)
         user_writes += profile.writes
 

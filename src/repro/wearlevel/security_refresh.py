@@ -16,7 +16,7 @@ physical lines — no gap line needed (Fig. 5).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,9 +28,13 @@ from repro.wearlevel.base import (
     RoundProfile,
     SwapMove,
     WearLeveler,
+    Window,
     counts_before,
     grouped_cumcount,
+    spread_even,
     spread_exact,
+    static_span,
+    walk_windows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -268,82 +272,131 @@ class SRBank:
 
 
 class SecurityRefresh(WearLeveler):
-    """One-level Security Refresh over the whole logical space."""
+    """Security Refresh over ``n_subregions`` contiguous LA ranges.
+
+    Sub-region ``r`` holds LAs ``r * subregion_size .. (r + 1) *
+    subregion_size - 1`` and runs its own SR registers in one
+    :class:`SRBank`.  Here one sub-region spans the whole logical space;
+    Multi-Way SR adds the sub-regions.
+    """
 
     def __init__(self, n_lines: int, remap_interval: int = 64, rng: SeedLike = None):
+        self._init_subregions(n_lines, 1, remap_interval, rng)
+
+    def _init_subregions(
+        self, n_lines: int, n_subregions: int, remap_interval: int, rng: SeedLike
+    ) -> None:
+        """Lay out ``n_subregions`` sub-regions of a power-of-two size."""
+        if n_subregions < 1 or n_lines % n_subregions != 0:
+            raise ValueError(
+                f"n_subregions ({n_subregions}) must divide n_lines ({n_lines})"
+            )
         self.n_lines = n_lines
         self.n_physical = n_lines  # swap-based: no spare lines
-        self.region = SRBank(1, n_lines, remap_interval, rng)
+        self.n_subregions = n_subregions
+        self.subregion_size = n_lines // n_subregions
+        bit_length_exact(self.subregion_size)  # must be a power of two
+        self.regions = SRBank(n_subregions, self.subregion_size, remap_interval, rng)
+
+    def subregion_of(self, la: int) -> int:
+        """Sub-region index — directly the high bits of the logical address."""
+        return la // self.subregion_size
 
     def translate(self, la: int) -> int:
         self._check_la(la)
-        return self.region.translate(0, la)
+        return self.regions.translate(*divmod(la, self.subregion_size))
 
     def record_write(self, la: int) -> List[Move]:
         self._check_la(la)
-        swap = self.region.record_write(0)
+        swap = self.regions.record_write(self.subregion_of(la))
         return [] if swap is None else [swap]
-
-    # ------------------------------------------------------- batched API
-
-    def translate_many(self, las: np.ndarray) -> np.ndarray:
-        return self.region.translate_many(0, np.asarray(las, dtype=np.int64))
-
-    def writes_until_next_remap(self) -> int:
-        return int(self.region.remaining()[0])
-
-    def record_writes_many(self, las: np.ndarray) -> None:
-        self.region.write_count += int(las.size)
 
     @property
     def key_xor(self) -> int:
         """Ground truth ``keyc XOR keyp`` — what the RTA tries to recover."""
-        return self.region.keyc.item(0) ^ self.region.keyp.item(0)
+        return self.regions.keyc.item(0) ^ self.regions.keyp.item(0)
+
+    # ------------------------------------------------------- batched API
+
+    def _locate(self, las: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Sub-region and region-local address of each write."""
+        return np.divmod(las, self.subregion_size)
+
+    def translate_many(self, las: np.ndarray) -> np.ndarray:
+        return self.regions.translate_many(
+            *self._locate(np.asarray(las, dtype=np.int64))
+        )
+
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """No outer level: the chunk is located once, and a window ends
+        only at a sub-region's key draw."""
+        regions, locals_ = self._locate(las)
+        return walk_windows(
+            self.regions, int(las.size), static_span(regions, locals_)
+        )
 
     # -------------------------------------------------- fast-forward API
 
     def round_wear_profile(
         self, spec: "TraceSpec", writes: int, timing: "TimingModel"
     ) -> Optional[RoundProfile]:
-        """Closed-form SR round: XOR mapping + pairwise swap movement.
+        """Independent SR rounds per contiguous LA range.
 
-        The key XOR is a bijection, so uniform stays uniform and a
-        sequential sweep covers every slot evenly; zipf snapshots the
-        current mapping with ``writes`` clipped to one key round.  Swap
-        movement wear is two line writes per actual swap, half the CRP
-        advances in expectation (see :meth:`SRBank.expected_swaps`),
-        rotation-smoothed over the region.  RAA is declined.
+        Region shares come straight off the trace distribution (the split
+        is by address sequence — high LA bits), deterministically
+        discretized so the per-region counters advance exactly.  The key
+        XOR is a bijection, so uniform stays uniform and a sequential
+        sweep covers every slot of a region evenly.  Swap movement wear is
+        two line writes per actual swap, half the CRP advances in
+        expectation (see :meth:`SRBank.expected_swaps`), rotation-smoothed
+        over the region.  Zipf clips ``writes`` so the hottest region
+        completes at most one key round, keeping its mapping snapshot
+        valid; RAA is declined.
         """
         if spec.kind == "raa":
             return None
-        region = self.region
         writes = int(writes)
-        n = self.n_lines
+        size = self.subregion_size
         if spec.kind == "zipf":
-            writes = min(writes, n * region.remap_interval)
-        swaps = region.expected_swaps(writes)
-        rates = region.movement_wear(swaps)
+            weights = spec.weights()
+            assert weights is not None
+            region_q = weights.reshape(self.n_subregions, size).sum(axis=1)
+            rotation = size * self.regions.remap_interval
+            writes = min(writes, int(rotation / max(float(region_q.max()), 1e-12)))
+            if writes <= 0:
+                return None
+        else:
+            region_q = np.full(self.n_subregions, 1.0 / self.n_subregions)
+        region_writes = spread_exact(region_q * writes, writes)
+        swaps = self.regions.expected_swaps(region_writes)
+        rates = self.regions.movement_wear(swaps)
         counts: Optional[np.ndarray] = None
         if spec.kind == "uniform":
-            rates += writes / n
+            rates += np.repeat(region_writes / size, size)
         elif spec.kind == "zipf":
             weights = spec.weights()
             assert weights is not None
-            user = np.zeros(n)
+            user = np.zeros(self.n_physical)
             np.add.at(
                 user,
-                self.translate_many(np.arange(n, dtype=np.int64)),
+                self.translate_many(np.arange(self.n_lines, dtype=np.int64)),
                 weights,
             )
             rates += user * writes
-        else:  # sequential: deterministic even coverage
-            counts = spread_exact(np.full(n, writes / n), writes)
+        else:  # sequential: deterministic even coverage per region
+            counts = spread_even(region_writes, size)
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += float(swaps[0]) * timing.swap_latency(spec.data, spec.data)
+        elapsed += float(swaps.sum()) * timing.swap_latency(spec.data, spec.data)
         return RoundProfile(
-            writes, elapsed, wear_counts=counts, wear_rates=rates
+            writes,
+            elapsed,
+            wear_counts=counts,
+            wear_rates=rates,
+            meta={"region_writes": region_writes},
         )
 
     def apply_round(self, profile: RoundProfile) -> float:
-        self.region.advance(profile.writes)
+        region_writes = profile.meta["region_writes"]
+        assert isinstance(region_writes, np.ndarray)
+        self.regions.advance(region_writes)
         return profile.elapsed_ns

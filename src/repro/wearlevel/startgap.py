@@ -16,7 +16,7 @@ advances, completing one remapping round exactly as in Fig. 2.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,9 +26,13 @@ from repro.wearlevel.base import (
     Move,
     RoundProfile,
     WearLeveler,
+    Window,
     counts_before,
     grouped_cumcount,
+    spread_even,
     spread_exact,
+    static_span,
+    walk_windows,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -184,49 +188,97 @@ class StartGapBank:
 
 
 class StartGap(WearLeveler):
-    """Single-region Start-Gap over the whole logical space."""
+    """Start-Gap over ``n_regions`` equal regions of the IA space.
+
+    Region ``r`` holds IAs ``r * region_size .. (r + 1) * region_size - 1``
+    and runs its own Start-Gap registers in one :class:`StartGapBank`.
+    Here the IA is the LA (:meth:`randomize` is the identity) and one
+    region spans the whole logical space; Region-Based Start-Gap adds the
+    regions and a static randomizer.
+    """
 
     def __init__(self, n_lines: int, remap_interval: int = 100):
+        self._init_regions(n_lines, 1, remap_interval)
+
+    def _init_regions(self, n_lines: int, n_regions: int, remap_interval: int) -> None:
+        """Lay out ``n_regions`` regions, each with its own gap line."""
         self.n_lines = n_lines
-        self.n_physical = n_lines + 1
-        self.region = StartGapBank(1, n_lines, remap_interval)
+        self.n_regions = n_regions
+        self.region_size = n_lines // n_regions
+        self.remap_interval = remap_interval
+        self.n_physical = n_lines + n_regions  # one gap line per region
+        self.regions = StartGapBank(n_regions, self.region_size, remap_interval)
+
+    # ------------------------------------------------------------- mapping
+
+    def randomize(self, la: int) -> int:
+        """LA → IA mapping: the identity."""
+        return la
+
+    def randomize_many(self, las: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`randomize`."""
+        return np.asarray(las, dtype=np.int64)
 
     def translate(self, la: int) -> int:
         self._check_la(la)
-        return self.region.translate(0, la)
+        region, local = divmod(self.randomize(la), self.region_size)
+        return self.regions.translate(region, local)
+
+    # -------------------------------------------------------------- writes
 
     def record_write(self, la: int) -> List[Move]:
         self._check_la(la)
-        move = self.region.record_write(0)
+        move = self.regions.record_write(self.randomize(la) // self.region_size)
         return [] if move is None else [move]
 
     # ------------------------------------------------------- batched API
 
+    def _locate(self, las: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Region and region-local IA of each write."""
+        return np.divmod(self.randomize_many(las), self.region_size)
+
     def translate_many(self, las: np.ndarray) -> np.ndarray:
-        return self.region.translate_many(0, np.asarray(las, dtype=np.int64))
+        return self.regions.translate_many(*self._locate(las))
 
-    def writes_until_next_remap(self) -> int:
-        return int(self.region.remaining()[0])
-
-    def record_writes_many(self, las: np.ndarray) -> None:
-        # Address-oblivious single counter; the prefix contract guarantees
-        # the bulk advance stays strictly below the next trigger.
-        self.region.write_count += int(las.size)
+    def chunk_runs(self, las: np.ndarray) -> Iterator[Window]:
+        """The LA → IA mapping has no trigger: one window per chunk,
+        located once."""
+        regions, locals_ = self._locate(las)
+        return walk_windows(
+            self.regions, int(las.size), static_span(regions, locals_)
+        )
 
     # -------------------------------------------------- fast-forward API
+
+    def _region_weights(self, spec: "TraceSpec") -> np.ndarray:
+        """Expected fraction of user writes landing in each region."""
+        if spec.kind == "zipf":
+            weights = spec.weights()
+            assert weights is not None
+            ias = self.randomize_many(np.arange(self.n_lines, dtype=np.int64))
+            return np.bincount(
+                ias // self.region_size,
+                weights=weights,
+                minlength=self.n_regions,
+            )
+        # The LA → IA mapping is a bijection: uniform stays uniform and a
+        # sequential sweep hits every region exactly region_size times.
+        return np.full(self.n_regions, 1.0 / self.n_regions)
 
     def round_wear_profile(
         self, spec: "TraceSpec", writes: int, timing: "TimingModel"
     ) -> Optional[RoundProfile]:
-        """Closed-form Start-Gap round: exact movement wear + user wear.
+        """Per-region Start-Gap rounds behind the LA → IA mapping.
 
-        Movement destinations are the deterministic gap walk
+        User writes split across regions by the mapped distribution
+        weights (deterministically discretized so counters advance
+        exactly); each region's movement wear is its exact gap walk
         (:meth:`StartGapBank.movement_wear`).  User wear under uniform
-        traffic is rotation-smoothed over all ``n + 1`` slots (the mapping
-        rotates one slot per ``n + 1`` movements); sequential traffic uses
-        the same smoothing but deterministically discretized; zipf
-        snapshots the current mapping, with ``writes`` clipped to one full
-        rotation so the hot line's slot stays put within the round.  RAA
+        traffic is rotation-smoothed over each region's ``size + 1``
+        slots; sequential traffic uses the same smoothing but
+        deterministically discretized.  Zipf snapshots the full mapping
+        and clips ``writes`` so the hottest region completes at most one
+        rotation, keeping the hot lines' slots put within the round.  RAA
         is declined — a single hot address interacts with the moving gap
         at per-interval granularity, which is exactly what the chunk
         engine (and :mod:`repro.sim.roundsim`) already simulate
@@ -234,42 +286,47 @@ class StartGap(WearLeveler):
         """
         if spec.kind == "raa":
             return None
-        region = self.region
         writes = int(writes)
-        n_slots = self.n_physical
+        stride = self.region_size + 1
+        region_q = self._region_weights(spec)
         if spec.kind == "zipf":
-            writes = min(writes, n_slots * region.remap_interval)
-        movements = region.pending(writes)
-        counts = region.movement_wear(movements)
+            rotation = stride * self.remap_interval
+            writes = min(writes, int(rotation / max(float(region_q.max()), 1e-12)))
+            if writes <= 0:
+                return None
+        region_writes = spread_exact(region_q * writes, writes)
+        movements = self.regions.pending(region_writes)
+        counts = self.regions.movement_wear(movements)
         rates: Optional[np.ndarray] = None
         exact = False
-        if spec.kind == "uniform":
-            rates = np.full(n_slots, writes / n_slots)
-        elif spec.kind == "zipf":
+        if spec.kind == "zipf":
             weights = spec.weights()
             assert weights is not None
-            rates = np.zeros(n_slots)
+            rates = np.zeros(self.n_physical)
             np.add.at(
                 rates,
                 self.translate_many(np.arange(self.n_lines, dtype=np.int64)),
                 weights,
             )
             rates *= writes
-        else:  # sequential: deterministic aggregate, smoothed placement
-            counts = counts + spread_exact(
-                np.full(n_slots, writes / n_slots), writes
-            )
+        elif spec.kind == "uniform":
+            rates = np.repeat(region_writes / stride, stride)
+        else:  # sequential: deterministic, rotation-smoothed per region
+            counts += spread_even(region_writes, stride)
             exact = True
         elapsed = writes * timing.write_latency(spec.data)
-        elapsed += int(movements[0]) * timing.copy_latency(spec.data)
+        elapsed += int(movements.sum()) * timing.copy_latency(spec.data)
         return RoundProfile(
             writes,
             elapsed,
             wear_counts=counts,
             wear_rates=rates,
             exact=exact,
+            meta={"region_writes": region_writes},
         )
 
     def apply_round(self, profile: RoundProfile) -> float:
-        self.region.advance(profile.writes)
+        region_writes = profile.meta["region_writes"]
+        assert isinstance(region_writes, np.ndarray)
+        self.regions.advance(region_writes)
         return profile.elapsed_ns

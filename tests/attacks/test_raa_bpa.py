@@ -5,10 +5,17 @@ import pytest
 from repro.attacks.bpa import BirthdayParadoxAttack
 from repro.attacks.raa import RepeatedAddressAttack
 from repro.config import PCMConfig
+from repro.core.security_rbsg import SecurityRBSG
+from repro.defense.adaptive import AdaptiveWearLeveler
 from repro.sim.memory_system import MemoryController
+from repro.wearlevel.multiway_sr import MultiWaySR
 from repro.wearlevel.nowl import NoWearLeveling
+from repro.wearlevel.random_swap import RandomSwapWearLeveling
 from repro.wearlevel.rbsg import RegionBasedStartGap
+from repro.wearlevel.security_refresh import SecurityRefresh
 from repro.wearlevel.startgap import StartGap
+from repro.wearlevel.table_based import TableBasedWearLeveling
+from repro.wearlevel.two_level_sr import TwoLevelSecurityRefresh
 
 
 def controller_for(scheme, endurance):
@@ -76,11 +83,30 @@ class TestBPA:
         assert result.failed
 
     def test_default_dwell_derived_from_scheme(self):
-        controller = controller_for(
-            RegionBasedStartGap(64, n_regions=4, remap_interval=8, rng=0), 1e12
-        )
-        attack = BirthdayParadoxAttack(controller, rng=0)
-        assert attack.dwell_writes == (64 // 4) * 8
+        # One rotation of the inner region bank: region size x interval.
+        cases = [
+            (RegionBasedStartGap(64, n_regions=4, remap_interval=8, rng=0), 16 * 8),
+            (SecurityRBSG(64, n_subregions=4, inner_interval=8, rng=0), 16 * 8),
+            (StartGap(64, remap_interval=4), 64 * 4),
+            (SecurityRefresh(64, remap_interval=4, rng=0), 64 * 4),
+            (MultiWaySR(64, n_subregions=4, remap_interval=4, rng=0), 16 * 4),
+            (
+                TwoLevelSecurityRefresh(
+                    64, n_subregions=4, inner_interval=4, outer_interval=8, rng=0
+                ),
+                16 * 4,
+            ),
+            (NoWearLeveling(64), 64),
+            (TableBasedWearLeveling(64, swap_interval=4), 64),
+            (RandomSwapWearLeveling(64, swap_interval=4, rng=0), 64),
+            (AdaptiveWearLeveler(StartGap(64, remap_interval=4)), 64),
+        ]
+        wrong = []
+        for scheme, dwell in cases:
+            attack = BirthdayParadoxAttack(controller_for(scheme, 1e12), rng=0)
+            if attack.dwell_writes != dwell:
+                wrong.append((type(scheme).__name__, attack.dwell_writes, dwell))
+        assert wrong == []
 
     def test_dwell_validation(self):
         controller = controller_for(NoWearLeveling(16), 1e12)

@@ -8,6 +8,7 @@ from repro.config import PCMConfig
 from repro.sim.memory_system import MemoryController
 from repro.wearlevel.multiway_sr import MultiWaySR
 from repro.wearlevel.nowl import NoWearLeveling
+from repro.wearlevel.security_refresh import SecurityRefresh
 
 
 def make_controller(n_lines=2**8, subregions=4, interval=32, seed=9,
@@ -25,6 +26,13 @@ class TestConstruction:
         controller = MemoryController(NoWearLeveling(16), config)
         with pytest.raises(TypeError):
             MultiWaySRTimingAttack(controller)
+
+    def test_refuses_security_refresh(self):
+        """One-level SR is Multi-Way SR's base class, not a Multi-Way SR."""
+        config = PCMConfig(n_lines=64, endurance=1e12)
+        scheme = SecurityRefresh(64, remap_interval=4, rng=0)
+        with pytest.raises(TypeError):
+            MultiWaySRTimingAttack(MemoryController(scheme, config))
 
     def test_region_bounds(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from repro.config import PCMConfig
 from repro.sim.memory_system import MemoryController
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.rbsg import RegionBasedStartGap
+from repro.wearlevel.startgap import StartGap
 
 
 def make_attack(n_lines=2**9, regions=8, interval=8, target=5, seed=7):
@@ -64,6 +65,12 @@ class TestSynchronize:
         controller = MemoryController(NoWearLeveling(16), config)
         with pytest.raises(TypeError):
             RBSGTimingAttack(controller)
+
+    def test_refuses_start_gap(self):
+        """Start-Gap is RBSG's base class, not an RBSG."""
+        config = PCMConfig(n_lines=64, endurance=1e12)
+        with pytest.raises(TypeError):
+            RBSGTimingAttack(MemoryController(StartGap(64, remap_interval=4), config))
 
 
 class TestDetectSequence:

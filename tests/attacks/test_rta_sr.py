@@ -6,6 +6,7 @@ from repro.attacks.raa import RepeatedAddressAttack
 from repro.attacks.rta_sr import SRTimingAttack, _SRMirror
 from repro.config import PCMConfig
 from repro.sim.memory_system import MemoryController
+from repro.wearlevel.multiway_sr import MultiWaySR
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.security_refresh import SecurityRefresh
 
@@ -47,6 +48,14 @@ class TestSynchronize:
         controller = MemoryController(NoWearLeveling(16), config)
         with pytest.raises(TypeError):
             SRTimingAttack(controller)
+
+    def test_refuses_multiway_sr(self):
+        """Multi-Way SR is a Security Refresh of several sub-regions: the
+        one-region attack cannot follow its CRPs."""
+        config = PCMConfig(n_lines=64, endurance=1e12)
+        scheme = MultiWaySR(64, n_subregions=4, remap_interval=4, rng=0)
+        with pytest.raises(TypeError):
+            SRTimingAttack(MemoryController(scheme, config))
 
     def test_la0_reserved(self):
         attack, _ = make_attack()

@@ -7,7 +7,7 @@ import pytest
 from repro.campaign import tasks
 from repro.campaign.aggregate import aggregate, to_json
 from repro.campaign.runner import RunnerConfig, run_collect
-from repro.campaign.spec import CampaignSpec
+from repro.campaign.spec import CampaignSpec, load_spec
 from repro.campaign.tasks import (
     TaskError,
     get_task,
@@ -19,6 +19,7 @@ from repro.cli import build_parser
 from repro.config import PAPER_PCM
 
 DATA = Path(__file__).parent.parent / "data"
+EXAMPLE_SPECS = Path(__file__).parent.parent.parent / "examples" / "campaigns"
 
 
 class TestPaperScaleDefaults:
@@ -77,6 +78,60 @@ class TestLifetimeFFParameters:
         }
         with pytest.raises(TaskError, match="stop before the run"):
             get_task("lifetime-ff")(params, 1)
+
+
+#: Each task kind with parameters it reads (a tiny device, a short run)
+#: and a key it does not read.
+KIND_PARAMS = {
+    "lifetime": ({"scheme": "rbsg", "attack": "rta", "regions": 8}, "subregion"),
+    "simulate": (
+        {"scheme": "none", "attack": "raa", "lines": 64, "endurance": 50,
+         "budget": 100, "interval": 4},
+        "n_shards",
+    ),
+    "trace-lifetime": (
+        {"scheme": "none", "trace": "uniform", "lines": 64, "endurance": 50,
+         "max_writes": 100},
+        "endurnace",
+    ),
+    "tenant-lifetime": (
+        {"scheme": "none", "tenants": 4, "lines": 64, "endurance": 50,
+         "max_writes": 100},
+        "tenant",
+    ),
+    "faults": (
+        {"scheme": "none", "n_lines": 64, "endurance": 50, "n_writes": 100},
+        "n_spare",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_PARAMS))
+def test_task_kind_refuses_a_key_it_does_not_read(kind):
+    """Every kind runs with the keys it reads and refuses any other,
+    rather than run a device other than the spec names."""
+    params, typo = KIND_PARAMS[kind]
+    assert isinstance(get_task(kind)(params, 1), dict)
+    with pytest.raises(TaskError) as info:
+        get_task(kind)({**params, typo: 5}, 1)
+    assert str(info.value) == f"{kind} does not take parameters {[typo]}"
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(EXAMPLE_SPECS.glob("*.toml")), ids=lambda path: path.stem
+)
+def test_example_campaign_parameters_accepted(spec, monkeypatch):
+    """Every point of the shipped campaign specs passes its kind's
+    parameter check: each stops at the run, not at the check."""
+
+    def stop(*args, **kwargs):
+        raise TaskError("stop before the run")
+
+    monkeypatch.setattr(tasks, "build_scheme", stop)
+    monkeypatch.setattr("repro.analysis.resilience.run_fault_campaign", stop)
+    for key in load_spec(spec).expand():
+        with pytest.raises(TaskError, match="stop before the run"):
+            get_task(key.kind)(dict(key.params), key.seed)
 
 
 class TestTraceLifetimeTask:

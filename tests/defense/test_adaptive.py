@@ -83,12 +83,12 @@ class TestEscalation:
         for _ in range(300):
             adaptive.record_write(3)
         assert adaptive.escalated
-        assert scheme.region.remap_interval == 4
+        assert scheme.regions.remap_interval == 4
         rng = np.random.default_rng(0)
         for _ in range(400):
             adaptive.record_write(int(rng.integers(0, 256)))
         assert not adaptive.escalated
-        assert scheme.region.remap_interval == 16
+        assert scheme.regions.remap_interval == 16
 
     def test_remaps_more_frequent_when_escalated(self):
         def moves_under(adaptive_on):

@@ -124,68 +124,6 @@ class TestFailure:
             array.swap(0, 1)
 
 
-class TestBulkWear:
-    def test_scalar_on_slice(self):
-        array = make_array()
-        array.bulk_wear(slice(2, 6), 10)
-        assert (array.wear[2:6] == 10).all()
-        assert array.total_writes == 40
-        assert array.elapsed_ns == 40 * 1000.0
-
-    def test_scalar_on_index_array_with_duplicates(self):
-        array = make_array()
-        array.bulk_wear(np.array([1, 1, 2]), 5)
-        assert array.wear[1] == 10  # duplicates accumulate
-        assert array.wear[2] == 5
-
-    def test_array_counts(self):
-        array = make_array()
-        array.bulk_wear(np.array([0, 3]), np.array([7, 9]))
-        assert array.wear[0] == 7
-        assert array.wear[3] == 9
-        assert array.total_writes == 16
-
-    def test_scalar_target(self):
-        array = make_array()
-        array.bulk_wear(4, 12)
-        assert array.wear[4] == 12
-
-    def test_custom_write_latency(self):
-        array = make_array()
-        array.bulk_wear(slice(0, 2), 3, write_ns=125.0)
-        assert array.elapsed_ns == 6 * 125.0
-
-    def test_bulk_failure_detected(self):
-        array = make_array(endurance=10)
-        with pytest.raises(LineFailure) as info:
-            array.bulk_wear(slice(0, 4), 10)
-        assert 0 <= info.value.pa < 4
-
-    def test_bulk_failure_scalar_target(self):
-        array = make_array(endurance=10)
-        with pytest.raises(LineFailure) as info:
-            array.bulk_wear(2, 11)
-        assert info.value.pa == 2
-
-    def test_no_raise_records_failure_and_continues(self):
-        """Wear-distribution studies past first failure (Fig. 16 path):
-        failures are recorded but bulk wear keeps accumulating."""
-        array = make_array(endurance=10, raise_on_failure=False)
-        array.bulk_wear(slice(0, 4), 12)
-        assert array.failed
-        assert 0 <= array.first_failure.pa < 4
-        array.bulk_wear(np.array([0, 1]), 5)  # keeps accepting wear
-        assert array.wear[0] == 17
-        assert array.total_writes == 4 * 12 + 2 * 5
-
-    def test_no_raise_scalar_target_past_endurance(self):
-        array = make_array(endurance=10, raise_on_failure=False)
-        array.bulk_wear(3, 25)
-        assert array.failed
-        assert array.first_failure.pa == 3
-        assert array.remaining_endurance()[3] == 0
-
-
 def array_state(array):
     return (
         array.wear.tolist(), array.data.tolist(), array.total_writes,
@@ -257,12 +195,12 @@ class TestFillData:
 class TestQueries:
     def test_max_wear(self):
         array = make_array()
-        array.bulk_wear(np.array([5]), 9)
+        array.wear[5] = 9
         assert array.max_wear == 9
 
     def test_remaining_endurance_clipped(self):
         array = make_array(endurance=10, raise_on_failure=False)
-        array.bulk_wear(np.array([0]), 15)
+        array.wear[0] = 15
         remaining = array.remaining_endurance()
         assert remaining[0] == 0
         assert remaining[1] == 10

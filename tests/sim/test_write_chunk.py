@@ -26,7 +26,14 @@ from repro.wearlevel import TwoLevelSecurityRefresh
 from repro.wearlevel.base import CopyMove
 from tests.sim.test_fast_engine import N_LINES, assert_identical
 
-REGION_SCHEMES = ["rbsg", "multiway-sr", "two-level-sr", "security-rbsg"]
+REGION_SCHEMES = [
+    "start-gap",
+    "rbsg",
+    "sr",
+    "multiway-sr",
+    "two-level-sr",
+    "security-rbsg",
+]
 #: An odd address width: the Feistel networks cycle-walk.
 ODD_LINES = 1 << 9
 ODD_WIDTH = [
@@ -67,9 +74,7 @@ def run_twins(name, n_lines, interval, endurance, seed, writes=4000):
     return outcomes
 
 
-@pytest.mark.parametrize(
-    "name, n_lines", cases(REGION_SCHEMES + ["start-gap", "sr"])
-)
+@pytest.mark.parametrize("name, n_lines", cases(REGION_SCHEMES))
 def test_chunk_equals_scalar_writes(name, n_lines):
     """One call writes the whole chunk: the latency is the sum of the
     scalar writes' latencies, ``out`` holds each of them, and every write
@@ -91,6 +96,36 @@ def test_chunk_equals_scalar_writes(name, n_lines):
     assert len(set(expected)) > 4  # writes with movements of several classes
     assert chunked.total_writes == scalar.total_writes
     assert np.array_equal(chunked.array.wear, scalar.array.wear)
+
+
+@pytest.mark.parametrize("name", ["start-gap", "sr"])
+def test_one_region_schemes_walk_their_bank(name, monkeypatch):
+    """Start-Gap and SR walk a chunk on their region bank: chunks that
+    cross many remaps at interval 2 never reach the scalar
+    ``controller.write``, and match a scalar twin write for write."""
+    rng = np.random.default_rng(9)
+    las = rng.integers(0, N_LINES, size=3000)
+    datas = rng.integers(0, len(LineData), size=3000).astype(np.int8)
+    config = PCMConfig(n_lines=N_LINES, endurance=1e9)
+    chunked, scalar = (
+        MemoryController(build_scheme(name, N_LINES, 9, {"interval": 2}), config)
+        for _ in range(2)
+    )
+    expected = [scalar.write(int(la), LineData(int(d))) for la, d in zip(las, datas)]
+
+    def scalar_write(la, data):
+        raise AssertionError(f"controller.write({la}, {data}) on the chunk engine")
+
+    monkeypatch.setattr(chunked, "write", scalar_write)
+    out = np.full(las.size, np.nan)
+    for lo in range(0, las.size, 500):
+        part = slice(lo, lo + 500)
+        chunked.write_chunk(las[part], datas[part], out=out[part])
+    assert out.tolist() == expected
+    assert chunked.total_writes == scalar.total_writes
+    assert np.array_equal(chunked.array.wear, scalar.array.wear)
+    assert np.array_equal(chunked.array.data, scalar.array.data)
+    assert pickle.dumps(chunked.scheme) == pickle.dumps(scalar.scheme)
 
 
 def fails_in_movement(name, n_lines, interval, endurance, seed):

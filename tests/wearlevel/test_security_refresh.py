@@ -140,7 +140,7 @@ class TestSecurityRefreshScheme:
         scheme = SecurityRefresh(16, remap_interval=1, rng=1)
         for _ in range(16):
             scheme.record_write(0)
-        assert scheme.key_xor == scheme.region.keyc[0] ^ scheme.region.keyp[0]
+        assert scheme.key_xor == scheme.regions.keyc[0] ^ scheme.regions.keyp[0]
 
     def test_data_consistency(self):
         config = PCMConfig(n_lines=2**7, endurance=1e12)

@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-fast bench-ff bench-outputs examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
+.PHONY: install test bench bench-fast bench-ff bench-outputs bench-outputs-diff examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -36,6 +36,18 @@ bench-outputs:
 			| grep '^outputs (seed' | sed "s/^/$$w /" || exit 1; \
 	done; done > build/bench-outputs.txt
 	@echo "bench-outputs: wrote build/bench-outputs.txt"
+
+# bench-outputs of commit $(BASE), run in a `git archive` of it under
+# build/bench-base, diffed against this tree's: the diff is empty when a
+# change keeps every benchmark output bit-identical.
+BASE ?= origin/main
+
+bench-outputs-diff: bench-outputs
+	@rm -rf build/bench-base && mkdir -p build/bench-base
+	@git archive $(BASE) | tar -x -C build/bench-base
+	@$(MAKE) --no-print-directory -C build/bench-base bench-outputs
+	@diff build/bench-base/build/bench-outputs.txt build/bench-outputs.txt \
+		&& echo "bench-outputs-diff: identical to $(BASE)"
 
 examples:
 	for f in examples/*.py; do echo "== $$f =="; python $$f || exit 1; done

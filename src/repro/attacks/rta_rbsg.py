@@ -143,7 +143,7 @@ class RBSGTimingAttack:
         self.n_lines = scheme.n_lines
         self.n_bits = bit_length_exact(scheme.n_lines)
         self.region_size = scheme.region_size
-        self.remap_interval = scheme.remap_interval
+        self.remap_interval = scheme.regions.remap_interval
         self.mirror = _RegionMirror(self.region_size, self.remap_interval)
         self.target_local_ia: Optional[int] = None
         self.detection_writes = 0

@@ -51,7 +51,7 @@ the spare).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -59,6 +59,22 @@ from repro.core.feistel import FeistelNetwork
 from repro.util.bitops import bit_length_exact
 from repro.util.rng import SeedLike, as_generator
 from repro.wearlevel.base import CopyMove, Move, SwapMove, sorted_composites
+
+
+class SpanSteps(NamedTuple):
+    """The triggers :meth:`DynamicFeistelMapper.step_span` pre-stepped.
+
+    ``taken`` steps ran.  Each movement among them has one entry in
+    ``index`` (its step, increasing), ``swap`` (a swap, or a copy) and the
+    columns of ``slots``, a ``(2, moves)`` array: a copy's source and
+    destination, or the two slots a swap exchanges.  A fixed point moves
+    nothing and has no entry.
+    """
+
+    taken: int
+    index: np.ndarray
+    swap: np.ndarray
+    slots: np.ndarray
 
 
 class DynamicFeistelMapper:
@@ -250,16 +266,13 @@ class DynamicFeistelMapper:
         before returning, consistent with the data layout once the caller
         executes the returned movement.
         """
-        self.total_movements += 1
-        if self.round_complete():
-            return self._begin_round()
-        if self.parked_la is not None:
-            return self._walk_first_cycle()
-        if self.displaced_la is not None:
-            return self._chain_step()
-        return self._begin_cycle(self._lowest_unremapped())
+        _, moves = self._walk(1, True, None)
+        if not moves:
+            return None  # a fixed point: remapped where it stands
+        _, swap, a, b = moves
+        return SwapMove(pa_a=a, pa_b=b) if swap else CopyMove(src=a, dst=b)
 
-    def step_span(self, count: int, rotate: bool) -> List[Optional[Move]]:
+    def step_span(self, count: int, rotate: bool) -> SpanSteps:
         """Pre-step up to ``count`` remap triggers; return their movements.
 
         Stops before a trigger whose step would begin a round (rotate the
@@ -272,23 +285,9 @@ class DynamicFeistelMapper:
         """
         self._log = []
         self._marks = []
-        moves: List[Optional[Move]] = []
-        for j in range(count):
-            if self.round_complete() and (j or not rotate):
-                break
-            self._log.append(
-                (
-                    self.gap,
-                    self.parked_la,
-                    self.displaced_la,
-                    self.displaced_slot,
-                    self._n_remapped,
-                    self.total_movements,
-                    len(self._marks),
-                )
-            )
-            moves.append(self.step())
-        return moves
+        taken, moves = self._walk(count, rotate, self._log)
+        table = np.array(moves, dtype=np.int64).reshape(-1, 4)
+        return SpanSteps(taken, table[:, 0], table[:, 1] == 1, table[:, 2:].T)
 
     def end_span(self, keep: int) -> None:
         """Close the span: keep its first ``keep`` steps and roll the
@@ -308,85 +307,105 @@ class DynamicFeistelMapper:
         self._log = []
         self._marks = None
 
-    # ---- round start + first cycle: the paper's spare-parked gap walk ----
+    def _walk(
+        self, count: int, rotate: bool, log: Optional[List[Tuple[Any, ...]]]
+    ) -> Tuple[int, List[int]]:
+        """Take up to ``count`` remap triggers, as :meth:`step_span` says,
+        appending each step's starting registers to ``log`` if one is given.
 
-    def _begin_round(self) -> Optional[Move]:
-        """Rotate keys, clear isRemap, start with slot 0's resident line."""
+        Returns the number of steps taken and, flat, ``(step, swap, a, b)``
+        per movement: a swap of slots ``a`` and ``b``, or a copy from
+        ``a`` to ``b``.  Every kind of step runs in this one loop, on the
+        registers held in locals and the networks' round tables
+        (:meth:`FeistelNetwork.scalar_ops`).
+        """
+        n = self.n_lines
+        remapped = self.is_remapped
+        marks: List[int] = [] if self._marks is None else self._marks
+        gap, parked = self.gap, self.parked_la
+        displaced, slot = self.displaced_la, self.displaced_slot
+        done, total = self._n_remapped, self.total_movements
+        enc_c, dec_c = self.feistel_c.scalar_ops()
+        enc_p, dec_p = self.feistel_p.scalar_ops()
+        # A swap chain keeps its pivot slot, and its next target
+        # ENC_Kc(displaced) is the close check of the step before.
+        target = pivot = -1
+        if displaced is not None and slot is not None:
+            target, pivot = enc_c(displaced), slot
+        low = 0  # every line below it is marked (no mark is undone here)
+        moves: List[int] = []
+        for taken in range(count):
+            if done == n and (taken or not rotate):
+                break
+            if log is not None:
+                log.append((gap, parked, displaced, slot, done, total, len(marks)))
+            total += 1
+            if done == n:  # a round begins
+                self._begin_round()
+                gap, parked, done = self.gap, self.parked_la, self._n_remapped
+                enc_c, dec_c = self.feistel_c.scalar_ops()
+                enc_p, dec_p = self.feistel_p.scalar_ops()
+                if parked is not None:  # [N] <- [0]
+                    moves += (taken, False, 0, n)
+                continue
+            if parked is not None:
+                # The first cycle: the line whose new home is the gap moves
+                # in from its old home, which becomes the gap.  The cycle
+                # closes when that line is the parked one, in the spare.
+                la, dst = dec_c(gap), gap
+                if la == parked:
+                    gap, parked = n, None
+                else:
+                    gap = enc_p(la)
+                moves += (taken, False, gap, dst)
+            else:
+                if displaced is None:  # a further cycle, from its lowest line
+                    la = low = low + int(remapped[low:].argmin())
+                    pivot, target = enc_p(la), enc_c(la)
+                else:
+                    la = displaced
+                if target != pivot:  # not a fixed point, which stays put
+                    # Swap the pivot slot, which holds la's data, with la's
+                    # new home.  The line whose data the pivot receives is
+                    # displaced, unless the pivot is its new home.
+                    moves += (taken, True, pivot, target)
+                    remapped[la] = True
+                    done += 1
+                    marks.append(la)
+                    la = dec_p(target)
+                    target = enc_c(la)
+                    if target != pivot:
+                        displaced, slot = la, pivot
+                        continue
+                    displaced = slot = None
+            remapped[la] = True
+            done += 1
+            marks.append(la)
+        else:
+            taken = count
+        self.gap, self.parked_la = gap, parked
+        self.displaced_la, self.displaced_slot = displaced, slot
+        self._n_remapped, self.total_movements = done, total
+        return taken, moves
+
+    def _begin_round(self) -> None:
+        """Rotate keys, clear isRemap, start with slot 0's resident line:
+        park it in the spare (``[N] <- [0]``, ``Gap <- 0``, per Fig. 9),
+        or mark it if it is a fixed point."""
         self.feistel_p = self.feistel_c
         self.feistel_c = self.feistel_c.rekeyed(self._rng)
         self.is_remapped[:] = False
-        self._n_remapped = 0
         self.round_count += 1
-        # Park slot 0's resident line in the spare ([N] <- [0], Gap <- 0),
-        # per Fig. 9 — unless slot 0's resident is a fixed point.
-        la = int(self.feistel_p.decrypt(0))
-        if int(self.feistel_c.encrypt(la)) == 0:
-            self._mark(la)
-            return None
-        self.parked_la = la
-        self.gap = 0
-        return CopyMove(src=0, dst=self.spare_slot)
-
-    def _walk_first_cycle(self) -> Move:
-        loc = int(self.feistel_c.decrypt(self.gap))
-        dst = self.gap
-        if loc == self.parked_la:
-            # Cycle closes: the wanted data sits in the spare.
-            src = self.spare_slot
-            self.gap = self.spare_slot
-            self.parked_la = None
+        la = self.feistel_p.scalar_ops()[1](0)
+        if self.feistel_c.scalar_ops()[0](la) == 0:
+            self.is_remapped[la] = True
+            self._n_remapped = 1
+            if self._marks is not None:
+                self._marks.append(la)
         else:
-            src = int(self.feistel_p.encrypt(loc))
-            self.gap = src
-        self._mark(loc)
-        return CopyMove(src=src, dst=dst)
-
-    # ---- further cycles: swap-chain rotation, no spare involvement -------
-
-    def _begin_cycle(self, la: int) -> Optional[Move]:
-        """Start remapping the cycle containing line ``la``."""
-        old_home = int(self.feistel_p.encrypt(la))
-        new_home = int(self.feistel_c.encrypt(la))
-        if new_home == old_home:
-            # Fixed point: already home under the new keys; no movement.
-            self._mark(la)
-            return None
-        return self._swap_from_pivot(pivot=old_home, la=la, target=new_home)
-
-    def _chain_step(self) -> Move:
-        la = self.displaced_la
-        target = int(self.feistel_c.encrypt(la))
-        return self._swap_from_pivot(
-            pivot=self.displaced_slot, la=la, target=target
-        )
-
-    def _swap_from_pivot(self, pivot: int, la: int, target: int) -> Move:
-        """Swap the pivot slot (holding ``la``'s data) with ``la``'s new home.
-
-        After the swap ``la`` is remapped; the line whose data the pivot
-        received becomes the displaced line — unless the pivot happens to
-        *be* its new home, which closes the cycle.
-        """
-        self._mark(la)
-        displaced = int(self.feistel_p.decrypt(target))
-        if int(self.feistel_c.encrypt(displaced)) == pivot:
-            # The incoming data lands exactly at its own new home.
-            self._mark(displaced)
-            self.displaced_la = None
-            self.displaced_slot = None
-        else:
-            self.displaced_la = displaced
-            self.displaced_slot = pivot
-        return SwapMove(pa_a=pivot, pa_b=target)
-
-    def _mark(self, la: int) -> None:
-        self.is_remapped[la] = True
-        self._n_remapped += 1
-        if self._marks is not None:
-            self._marks.append(la)
-
-    def _lowest_unremapped(self) -> int:
-        return int(np.argmin(self.is_remapped))
+            self._n_remapped = 0
+            self.parked_la = la
+            self.gap = 0
 
     # -------------------------------------------------------------- oracle
 

@@ -20,11 +20,22 @@ provided; the vector path is what the round-granularity simulation engines
 use to randomize whole windows of addresses per remapping round.  Its stage
 keys broadcast against the addresses, so one pass can also give every
 address its own schedule (:meth:`FeistelNetwork.encrypt_keyed`).
+
+There are two scalar evaluators.  :meth:`FeistelNetwork.encrypt` and
+:meth:`FeistelNetwork.decrypt` on an ``int`` compute every stage's cube
+and are the reference; they suit a network used for a few addresses only
+(a fresh key schedule per call, as the round simulators draw them).
+:meth:`FeistelNetwork.scalar_ops` returns table-driven closures for a
+network evaluated many times, the DFN's swap-chain walk: stage ``s``'s
+round function reads only the half-width input ``x``, so
+``f_s[x] = (x XOR K_s)^3 mod 2**h`` is tabulated once per network
+(``n_stages * 2**h`` entries; 7 x 4096 at 2^23 lines, about 1 MB), not
+the ``2**B``-entry permutation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,6 +45,8 @@ from repro.util.rng import SeedLike, as_generator
 IntOrArray = Union[int, np.ndarray]
 #: One keyed vector pass over ``(addresses, stage keys)``.
 _Pass = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: A scalar evaluator: one in-domain address to its image.
+ScalarOp = Callable[[int], int]
 
 _U64 = np.uint64
 
@@ -76,6 +89,15 @@ class FeistelNetwork:
         #: The key schedule as an ``(S, 1)`` uint64 column: the key operand
         #: of :meth:`encrypt_keyed` that applies it to every address.
         self.key_column = np.array(self.keys, dtype=_U64).reshape(-1, 1)
+        # scalar_ops()'s closures over the round tables, built on demand.
+        self._ops: Optional[Tuple[ScalarOp, ScalarOp]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The round tables are a cache: a network pickles the same whether
+        # or not it has built them.
+        state = self.__dict__.copy()
+        state["_ops"] = None
+        return state
 
     # ------------------------------------------------------------- factory
 
@@ -142,6 +164,43 @@ class FeistelNetwork:
         while x >= self.domain:
             x = self._decrypt_once(x)
         return x
+
+    def scalar_ops(self) -> Tuple[ScalarOp, ScalarOp]:
+        """Table-driven scalar ``(encrypt, decrypt)`` closures.
+
+        Each stage's cube comes from its round table, built for all stages
+        in one pass on the first call and cached (not pickled).  The
+        closures cycle-walk odd widths like :meth:`encrypt` and
+        :meth:`decrypt` and agree with them on every address, but check no
+        range: the caller passes ``0 <= x < 2**n_bits``.
+        """
+        if self._ops is None:
+            cube = np.arange(1 << self._half_bits, dtype=_U64) ^ self.key_column
+            cube = cube * cube * cube & _U64(self._half_mask)
+            forward = tuple(cube.tolist())
+            backward = forward[::-1]
+            half, low, domain = self._half_bits, self._half_mask, self.domain
+
+            def encrypt(x: int) -> int:
+                while True:
+                    left, right = x >> half, x & low
+                    for f in forward:
+                        left, right = right ^ f[left], left
+                    x = (left << half) | right
+                    if x < domain:  # cycle-walk back into the domain
+                        return x
+
+            def decrypt(y: int) -> int:
+                while True:
+                    left, right = y >> half, y & low
+                    for f in backward:
+                        left, right = right, left ^ f[right]
+                    y = (left << half) | right
+                    if y < domain:
+                        return y
+
+            self._ops = (encrypt, decrypt)
+        return self._ops
 
     # -------------------------------------------------------- vector paths
 

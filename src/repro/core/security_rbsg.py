@@ -50,14 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.fastforward import TraceSpec
 
 
-def _slot_ends(move: Move) -> Tuple[int, int]:
-    """A DFN movement's two IA slots: a copy's source and destination, or
-    the two slots a swap exchanges."""
-    if isinstance(move, SwapMove):
-        return move.pa_a, move.pa_b
-    return move.src, move.dst
-
-
 class SecurityRBSG(WearLeveler):
     """Security RBSG: dynamic-Feistel outer level + Start-Gap inner level.
 
@@ -203,7 +195,7 @@ class SecurityRBSG(WearLeveler):
             first = interval - 1 - self.outer_write_count % interval
             due = range(first, rest.size, interval)
             steps = mapper.step_span(len(due), rotate=first == 0)
-            end = rest.size if len(steps) == len(due) else due[len(steps)]
+            end = rest.size if steps.taken == len(due) else due[steps.taken]
             feistel, off, under_c, under_p = keyed
             if feistel is not mapper.feistel_c:  # chunk start or key rotation
                 if mapper.feistel_p is feistel:
@@ -221,18 +213,13 @@ class SecurityRBSG(WearLeveler):
             regions, locals_ = self._locate_ias(
                 mapper.select(rest[:end], under_c[window], under_p[window], epoch)
             )
-            moved = [j for j, step in enumerate(steps) if step is not None]
-            swap = np.array([isinstance(steps[j], SwapMove) for j in moved], dtype=bool)
-            slots = np.array(
-                [_slot_ends(steps[j]) for j in moved], dtype=np.int64
-            ).reshape(-1, 2)
 
             def commit(k: int) -> None:
                 mapper.end_span(len(range(first, k, interval)))
                 self.outer_write_count += k
 
-            ends = self._locate_ias(slots.T.ravel())
-            return Span(regions, locals_, at[moved], swap, ends, commit)
+            ends = self._locate_ias(steps.slots.ravel())
+            return Span(regions, locals_, at[steps.index], steps.swap, ends, commit)
 
         lead = self.outer_write_count % interval == interval - 1
         return walk_windows(

@@ -26,7 +26,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.pcm.timing import ALL1, LineData
-from repro.sim.trace import TraceChunk, TraceEntry
+from repro.sim.trace import TraceChunk, TraceEntry, ZipfSampler
 from repro.util.rng import SeedLike, as_generator, derive_seed
 from repro.wearlevel.base import WearLeveler
 
@@ -81,7 +81,7 @@ class TraceSpec:
         if self.kind == "raa" and not 0 <= self.target < self.n_lines:
             raise ValueError(f"raa target {self.target} outside [0, {self.n_lines})")
         self._gen: Optional[np.random.Generator] = None
-        self._weights: Optional[np.ndarray] = None
+        self._zipf: Optional[ZipfSampler] = None
 
     # ------------------------------------------------------------ queries
 
@@ -95,11 +95,12 @@ class TraceSpec:
         """Per-LA write probabilities (zipf only; None = uniform/other)."""
         if self.kind != "zipf":
             return None
-        if self._weights is None:
-            ranks = np.arange(1, self.n_lines + 1, dtype=np.float64)
-            w = ranks ** (-self.alpha)
-            self._weights = w / w.sum()
-        return self._weights
+        return self._sampler().weights
+
+    def _sampler(self) -> ZipfSampler:
+        if self._zipf is None:
+            self._zipf = ZipfSampler(self.n_lines, self.alpha)
+        return self._zipf
 
     # ----------------------------------------------------------- consume
 
@@ -138,10 +139,7 @@ class TraceSpec:
                     gen.integers(0, self.n_lines, size=size), dtype=np.int64
                 )
             elif self.kind == "zipf":
-                las = np.asarray(
-                    gen.choice(self.n_lines, size=size, p=self.weights()),
-                    dtype=np.int64,
-                )
+                las = self._sampler().draw(gen, size)
             elif self.kind == "sequential":
                 las = (
                     np.arange(self.pos, self.pos + size, dtype=np.int64)

@@ -30,6 +30,11 @@ from repro.util.rng import SeedLike, as_generator
 
 TraceChunk = Tuple[np.ndarray, np.ndarray]
 
+#: log2 of :class:`ZipfSampler`'s guide-table buckets.  A power of two
+#: keeps a bucket's bounds ``k / 2**16`` and a draw's bucket
+#: ``floor(u * 2**16)`` exact in floating point.
+_GUIDE_BITS = 16
+
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -95,6 +100,43 @@ def uniform_random_chunks(
         yield las, np.full(size, int(data), dtype=np.int8)
 
 
+class ZipfSampler:
+    """Zipf ranks over ``[0, n_lines)``: rank ``r`` with probability
+    proportional to ``(r+1)**-alpha`` (:attr:`weights`).
+
+    :meth:`draw` returns what ``gen.choice(n_lines, size, p=weights)``
+    returns and leaves ``gen`` in the same state: it makes the same
+    ``gen.random(size)`` call and answers ``cdf.searchsorted(u, "right")``
+    on the same CDF.  But the CDF is built once, not per call, and a
+    guide table of 2^16 buckets answers every draw whose bucket holds no
+    CDF step (at ``alpha`` = 1.2, about 94% of draws at 2^12 lines and
+    81% at 2^23); only the others are searched.
+    """
+
+    def __init__(self, n_lines: int, alpha: float):
+        if alpha <= 0:
+            raise ValueError("alpha must be positive")
+        weights = np.arange(1, n_lines + 1, dtype=np.float64) ** (-alpha)
+        #: Per-rank write probabilities.
+        self.weights = weights / weights.sum()
+        cdf = self.weights.cumsum()  # exactly as Generator.choice builds it
+        cdf /= cdf[-1]
+        self._cdf = cdf
+        # guide[k] = count(cdf <= k / 2**16): a draw u in bucket k has
+        # guide[k] <= count(cdf <= u) <= guide[k + 1].
+        bounds = np.arange((1 << _GUIDE_BITS) + 1) / (1 << _GUIDE_BITS)
+        self._guide = cdf.searchsorted(bounds, "right").astype(np.int32)
+
+    def draw(self, gen: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` ranks drawn from ``gen``, as int64."""
+        u = gen.random(size)
+        bucket = (u * (1 << _GUIDE_BITS)).astype(np.int64)
+        out = self._guide[bucket].astype(np.int64)
+        step = out != self._guide[bucket + 1]
+        out[step] = self._cdf.searchsorted(u[step], "right")
+        return out
+
+
 def zipf_chunks(
     n_lines: int,
     n_writes: Optional[int] = None,
@@ -104,16 +146,10 @@ def zipf_chunks(
     batch: int = 4096,
 ) -> Iterator[TraceChunk]:
     """Chunked Zipf-skewed addresses (one RNG draw per chunk)."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    sampler = ZipfSampler(n_lines, alpha)
     gen = as_generator(rng)
-    weights = (np.arange(1, n_lines + 1, dtype=np.float64)) ** (-alpha)
-    probabilities = weights / weights.sum()
     for size in _sizes(n_writes, batch):
-        las = np.asarray(
-            gen.choice(n_lines, size=size, p=probabilities), dtype=np.int64
-        )
-        yield las, np.full(size, int(data), dtype=np.int8)
+        yield sampler.draw(gen, size), np.full(size, int(data), dtype=np.int8)
 
 
 def trace_chunks(

@@ -205,7 +205,6 @@ class StartGap(WearLeveler):
         self.n_lines = n_lines
         self.n_regions = n_regions
         self.region_size = n_lines // n_regions
-        self.remap_interval = remap_interval
         self.n_physical = n_lines + n_regions  # one gap line per region
         self.regions = StartGapBank(n_regions, self.region_size, remap_interval)
 
@@ -290,7 +289,7 @@ class StartGap(WearLeveler):
         stride = self.region_size + 1
         region_q = self._region_weights(spec)
         if spec.kind == "zipf":
-            rotation = stride * self.remap_interval
+            rotation = stride * self.regions.remap_interval
             writes = min(writes, int(rotation / max(float(region_q.max()), 1e-12)))
             if writes <= 0:
                 return None

@@ -1,5 +1,7 @@
 """Tests for the multi-stage cubing Feistel network."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,36 @@ class TestPermutation:
         a = FeistelNetwork(10, [1, 2, 3])
         b = FeistelNetwork(10, [4, 5, 6])
         assert a.permutation().tolist() != b.permutation().tolist()
+
+
+class TestScalarOps:
+    """The table-driven scalar evaluators against the arithmetic ones."""
+
+    @pytest.mark.parametrize("bits", range(1, 14))
+    @pytest.mark.parametrize("stages", [1, 7])
+    def test_match_arithmetic_and_vector_paths(self, bits, stages):
+        network = FeistelNetwork.random(bits, stages, rng=bits)
+        encrypt, decrypt = network.scalar_ops()
+        xs = range(1 << bits)
+        vector = network.encrypt(np.arange(1 << bits, dtype=np.uint64))
+        forward = [encrypt(x) for x in xs]
+        assert forward == [network.encrypt(x) for x in xs] == vector.tolist()
+        assert [decrypt(y) for y in xs] == [network.decrypt(y) for y in xs]
+
+    def test_tables_are_built_once(self):
+        network = FeistelNetwork.random(10, 7, rng=4)
+        assert network.scalar_ops() is network.scalar_ops()
+
+    @pytest.mark.parametrize("bits", [4, 9])
+    def test_tables_are_not_pickled(self, bits):
+        """A network pickles the same whether or not it built its tables,
+        so twins that took different evaluators still compare equal."""
+        network = FeistelNetwork.random(bits, 7, rng=5)
+        twin = FeistelNetwork(bits, network.keys)
+        network.scalar_ops()
+        assert pickle.dumps(network) == pickle.dumps(twin)
+        copy = pickle.loads(pickle.dumps(network))
+        assert copy.scalar_ops()[0](3) == network.encrypt(3)
 
 
 @settings(max_examples=40, deadline=None)

@@ -46,7 +46,7 @@ def test_select_matches_translate_in_each_epoch(n_lines, count, above):
     assert (las.size >= SORT_MIN) == above
 
     mapper = in_round(n_lines)
-    assert len(mapper.step_span(count, rotate=False)) == count
+    assert mapper.step_span(count, rotate=False).taken == count
     got = mapper.select(
         las,
         mapper.feistel_c.encrypt(las).astype(np.int64),

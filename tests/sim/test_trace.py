@@ -8,6 +8,7 @@ import pytest
 from repro.pcm.timing import ALL0, ALL1
 from repro.sim.trace import (
     TraceEntry,
+    ZipfSampler,
     repeated_address_chunks,
     repeated_address_trace,
     sequential_chunks,
@@ -81,6 +82,30 @@ class TestZipf:
 
     def test_exact_count(self):
         assert len(list(zipf_trace(16, n_writes=100, rng=0))) == 100
+
+
+class TestZipfSampler:
+    @pytest.mark.parametrize(
+        "n_lines", [1, 2, 3, 7, 100, 257, 1000, 4096, 5000, 1 << 16, 1 << 20]
+    )
+    @pytest.mark.parametrize("alpha", [0.5, 0.99, 1.2, 2, 4])
+    def test_draws_what_choice_draws(self, n_lines, alpha):
+        """Two successive draws of each size equal ``Generator.choice``'s
+        over the same weights, and leave the generator in its state."""
+        sampler = ZipfSampler(n_lines, alpha)
+        for seed, size in itertools.product(range(3), [1, 17, 8192]):
+            gen, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(2):
+                got = sampler.draw(gen, size)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, twin.choice(n_lines, size, p=sampler.weights))
+            assert gen.bit_generator.state == twin.bit_generator.state
+
+    def test_weights(self):
+        sampler = ZipfSampler(4, 1.0)
+        assert sampler.weights.tolist() == pytest.approx(
+            [12 / 25, 6 / 25, 4 / 25, 3 / 25]
+        )
 
 
 class TestPlainIntAddresses:

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import PCMConfig
+from repro.pcm.timing import TimingModel
+from repro.sim.fastforward import TraceSpec
 from repro.wearlevel.base import CopyMove
+from repro.wearlevel.rbsg import RegionBasedStartGap
 from repro.wearlevel.startgap import StartGap, StartGapBank
 
 
@@ -135,3 +139,20 @@ class TestStartGapScheme:
             scheme.record_write(5)
             pa_history.add(scheme.translate(5))
         assert len(pa_history) >= 2
+
+    @pytest.mark.parametrize("regions", [1, 4])
+    def test_zipf_clip_follows_the_bank_interval(self, regions):
+        """The analytic zipf round lets the hottest region complete at most
+        one rotation, ``(size + 1) * interval`` writes, at the interval
+        the bank remaps with: set on ``regions`` alone, the clip follows."""
+        n = 256
+        if regions == 1:
+            scheme = StartGap(n, remap_interval=8)
+        else:
+            scheme = RegionBasedStartGap(n, n_regions=regions, remap_interval=8, rng=1)
+        spec = TraceSpec(kind="zipf", n_lines=n, seed=1)
+        timing = TimingModel(PCMConfig(n_lines=n))
+        before = scheme.round_wear_profile(spec, 10**9, timing).writes
+        scheme.regions.remap_interval = 32
+        after = scheme.round_wear_profile(spec, 10**9, timing).writes
+        assert 4 * before <= after < 4 * before + 4

@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-fast bench-ff bench-outputs bench-outputs-diff examples smoke faults-smoke campaign-smoke chaos-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
+.PHONY: install test bench bench-fast bench-ff bench-outputs bench-outputs-diff examples smoke faults-smoke campaign-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -110,8 +110,9 @@ faults-smoke:
 
 # Kill-and-resume exercise of the campaign orchestrator: start the example
 # fault grid, cut it short after 3 of its 8 tasks (a controlled "crash"),
-# verify the directory reports incomplete, resume to completion, and render
-# the aggregated report.  The interrupted run and status MUST exit non-zero.
+# verify the directory reports incomplete, compact it into the sqlite
+# index, resume to completion from the index, and render the aggregated
+# report.  The interrupted run and status MUST exit non-zero.
 campaign-smoke:
 	rm -rf build/campaign-smoke
 	PYTHONPATH=src python -m repro campaign run \
@@ -120,19 +121,13 @@ campaign-smoke:
 		test $$? -eq 1
 	PYTHONPATH=src python -m repro campaign status build/campaign-smoke; \
 		test $$? -eq 1
+	PYTHONPATH=src python -m repro campaign compact build/campaign-smoke
 	PYTHONPATH=src python -m repro campaign resume build/campaign-smoke \
 		--workers 2 --quiet
 	PYTHONPATH=src python -m repro campaign status build/campaign-smoke
 	PYTHONPATH=src python -m repro campaign report build/campaign-smoke \
 		--format csv --output build/campaign-smoke/report.csv
 	@test -s build/campaign-smoke/report.csv && echo "campaign-smoke: OK"
-
-# Distributed-campaign disaster drill: serve + 2 workers, SIGKILL one
-# worker mid-lease AND the coordinator mid-campaign, compact, resume on a
-# fresh port, and require the final aggregate byte-identical to a serial
-# run (plus index-only resume — no JSONL re-scan).  See the script.
-chaos-smoke:
-	PYTHONPATH=src python scripts/chaos_smoke.py
 
 # Traffic-layer proof: convert the bundled MSR-style CSV to .rbt (bytes
 # must match the committed fixture), replay it chunked == entry-wise on

@@ -15,18 +15,11 @@ of every other package).  A campaign is:
    deterministic retries and worker-crash isolation;
 4. an **aggregator** (:mod:`repro.campaign.aggregate`) — seed-averaged
    group summaries whose JSON/CSV exports are byte-identical between
-   serial and parallel executions of the same spec;
-5. a **service** (:mod:`repro.campaign.service`) — the distributed
-   form of the runner: an asyncio TCP coordinator leases task attempts
-   to remote workers with heartbeats, lease-expiry requeue, at-most-once
-   result commit and dead-lettering, producing the same bytes as a
-   serial run no matter how workers fail.  (It is likewise the one
-   audited home of async/socket code — REP007 again.)
+   serial and parallel executions of the same spec.
 
-CLI: ``python -m repro campaign run|resume|status|report`` locally,
-``serve|worker|watch|compact`` distributed; example specs live in
-``examples/campaigns/``; the full contract is documented in
-``docs/campaigns.md``.
+CLI: ``python -m repro campaign run|resume|status|report|compact``;
+example specs live in ``examples/campaigns/``; the full contract is
+documented in ``docs/campaigns.md``.
 """
 
 from repro.campaign.aggregate import aggregate, to_csv, to_json

@@ -49,19 +49,6 @@ class ProgressReporter:
             self.failed += 1
         self._emit(final=self.done >= self.total)
 
-    def update_absolute(
-        self, done: int, failed: int, final: bool = False
-    ) -> None:
-        """Set absolute counters (distributed ``watch`` view) and redraw.
-
-        The local runner feeds the reporter one :meth:`task_done` per
-        task; a watch client instead polls a coordinator for absolute
-        counts — same rendering, different feed.
-        """
-        self.done = done
-        self.failed = failed
-        self._emit(final=final or (self.total > 0 and done >= self.total))
-
     def finish(self) -> None:
         """Force a final report and terminate the in-place line."""
         if self._enabled and self._wrote_any:

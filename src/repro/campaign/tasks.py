@@ -39,7 +39,7 @@ register custom kinds at import time of an importable module instead.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Iterable, Mapping, Tuple
+from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.campaign.spec import Scalar
 from repro.config import (
@@ -49,6 +49,7 @@ from repro.config import (
     SecurityRBSGConfig,
     SRConfig,
 )
+from repro.sim.fastforward import TraceSpec
 from repro.wearlevel.base import WearLeveler
 
 TaskFn = Callable[[Mapping[str, Scalar], int], Dict[str, object]]
@@ -104,6 +105,39 @@ def _str(params: Mapping[str, Scalar], name: str) -> str:
         return str(params[name])
     except KeyError:
         raise TaskError(f"task needs parameter {name!r}") from None
+
+
+def _max_writes(
+    params: Mapping[str, Scalar], default: Optional[int]
+) -> Optional[int]:
+    """The ``max_writes`` budget (``None``: unbounded); a negative
+    budget raises :class:`TaskError` rather than run zero writes."""
+    value = params.get("max_writes", default)
+    if value is None:
+        return None
+    budget = int(value)  # type: ignore[arg-type]
+    if budget < 0:
+        raise TaskError(f"max_writes must be >= 0, got {budget}")
+    return budget
+
+
+def _trace_spec(
+    params: Mapping[str, Scalar], kind: str, n_lines: int, seed: int,
+    batch: int,
+) -> TraceSpec:
+    """The synthetic trace ``kind`` over ``n_lines`` lines, with its
+    ``alpha`` and ``target`` read from ``params``; a trace the spec
+    refuses (unknown kind, zipf ``alpha <= 0``, an ``raa`` target off
+    the device) raises :class:`TaskError`."""
+    try:
+        return TraceSpec(
+            kind, n_lines,
+            alpha=_float(params, "alpha", 1.2),
+            target=_int(params, "target", 5),
+            seed=seed, batch=batch,
+        )
+    except ValueError as exc:
+        raise TaskError(str(exc)) from None
 
 
 def _check_params(
@@ -328,16 +362,6 @@ def run_trace_lifetime_task(
     from repro.pcm.stats import WearStats
     from repro.sim.engine import run_trace, run_trace_fast
     from repro.sim.memory_system import MemoryController
-    from repro.sim.trace import (
-        repeated_address_chunks,
-        repeated_address_trace,
-        sequential_chunks,
-        sequential_trace,
-        uniform_random_chunks,
-        uniform_random_trace,
-        zipf_chunks,
-        zipf_trace,
-    )
     from repro.traffic.adapter import open_trace_chunks, open_trace_entries
 
     _check_params("trace-lifetime", params, (
@@ -352,17 +376,11 @@ def run_trace_lifetime_task(
     )
     n_lines = _int(params, "lines", 4096)
     endurance = _float(params, "endurance", 1e4)
-    max_writes = _int(params, "max_writes", 10_000_000)
-    alpha = _float(params, "alpha", 1.2)
-    target = _int(params, "target", 5)
+    max_writes = _max_writes(params, 10_000_000)
     fast = bool(params.get("fast", True))
 
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
-    scheme = build_scheme(scheme_name, n_lines, seed, params)
-    controller = MemoryController(scheme, config)
-
-    # Chunked and scalar generators draw the identical RNG stream, so the
-    # engine choice cannot change the trace.
+    # One spec feeds either engine: its chunks and its entries draw the
+    # identical RNG stream, so the engine choice cannot change the trace.
     trace: Any
     if trace_file is not None:
         opener = open_trace_chunks if fast else open_trace_entries
@@ -373,23 +391,11 @@ def run_trace_lifetime_task(
             window_start=_int(params, "window_start", 0),
             window_mode=str(params.get("window_mode", "wrap")),
         )
-    elif trace_name == "uniform":
-        trace = (uniform_random_chunks(n_lines, rng=seed) if fast
-                 else uniform_random_trace(n_lines, rng=seed))
-    elif trace_name == "zipf":
-        trace = (zipf_chunks(n_lines, alpha=alpha, rng=seed) if fast
-                 else zipf_trace(n_lines, alpha=alpha, rng=seed))
-    elif trace_name == "sequential":
-        trace = (sequential_chunks(n_lines) if fast
-                 else sequential_trace(n_lines))
-    elif trace_name == "raa":
-        trace = (repeated_address_chunks(target) if fast
-                 else repeated_address_trace(target))
     else:
-        raise TaskError(
-            f"unknown trace kind {trace_name!r}; "
-            "expected uniform / zipf / sequential / raa"
-        )
+        trace = _trace_spec(params, trace_name, n_lines, seed, batch=4096)
+    config = PCMConfig(n_lines=n_lines, endurance=endurance)
+    scheme = build_scheme(scheme_name, n_lines, seed, params)
+    controller = MemoryController(scheme, config)
     driver = run_trace_fast if fast else run_trace
     result = driver(controller, trace, max_writes=max_writes)
     gini = WearStats.from_wear(controller.array.wear).gini
@@ -413,8 +419,8 @@ def run_lifetime_ff_task(
 ) -> Dict[str, object]:
     """Paper-scale measured lifetime on the analytic fast-forward tier.
 
-    The distributed counterpart of ``trace-lifetime`` for device sizes
-    where even the chunk-exact engine is too slow: the trace is described
+    The fast-forward form of ``trace-lifetime``, for device sizes where
+    even the chunk-exact engine is too slow: the trace is described
     by a :class:`~repro.sim.fastforward.TraceSpec` and the engine jumps
     whole remapping rounds analytically, dropping back to chunk-exact
     near end-of-life (see docs/performance.md).  Parameters: ``scheme``,
@@ -428,7 +434,6 @@ def run_lifetime_ff_task(
     """
     from repro.pcm.stats import WearStats
     from repro.sim.engine import run_trace_fast
-    from repro.sim.fastforward import TRACE_KINDS, TraceSpec
     from repro.sim.memory_system import MemoryController
 
     _check_params("lifetime-ff", params, (
@@ -437,32 +442,17 @@ def run_lifetime_ff_task(
     ))
     scheme_name = _str(params, "scheme")
     trace_name = _str(params, "trace")
-    if trace_name not in TRACE_KINDS:
-        raise TaskError(
-            f"unknown trace kind {trace_name!r}; expected one of "
-            f"{sorted(TRACE_KINDS)}"
-        )
     n_lines = _int(params, "lines", PAPER_PCM.n_lines)
     endurance = _float(params, "endurance", 1e8)
-    max_writes = params.get("max_writes")
+    max_writes = _max_writes(params, None)
     mode = str(params.get("fast_forward", "auto"))
+    spec = _trace_spec(params, trace_name, n_lines, seed, batch=8192)
 
     config = PCMConfig(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
     controller = MemoryController(scheme, config)
-    spec = TraceSpec(
-        kind=trace_name,
-        n_lines=n_lines,
-        n_writes=None,
-        alpha=_float(params, "alpha", 1.2),
-        target=_int(params, "target", 5),
-        seed=seed,
-    )
     result = run_trace_fast(
-        controller,
-        spec,
-        max_writes=None if max_writes is None else int(max_writes),
-        fast_forward=mode,
+        controller, spec, max_writes=max_writes, fast_forward=mode,
     )
     gini = WearStats.from_wear(controller.array.wear).gini
     return {

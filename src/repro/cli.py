@@ -16,7 +16,8 @@ Installed as ``python -m repro``.  Subcommands:
 * ``faults``    — fault-injection campaigns and the verify-retry
   side-channel experiment,
 * ``campaign``  — parallel experiment campaigns with crash-safe
-  checkpointing: ``run`` / ``resume`` / ``status`` / ``report``,
+  checkpointing: ``run`` / ``resume`` / ``status`` / ``report`` /
+  ``compact``,
 * ``lint``      — the reprolint simulator-invariant checker
   (also ``python -m repro.lint``).
 
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -158,10 +158,10 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
 
     Drives the requested scheme at the paper's device scale (2^22 lines,
     E = 1e8) on the analytic fast-forward engine, through the same
-    ``lifetime-ff`` task the distributed campaign runner uses — one box,
-    minutes instead of the chunk engine's hours.
+    ``lifetime-ff`` task a campaign runs — minutes instead of the chunk
+    engine's hours.
     """
-    from repro.campaign.tasks import get_task
+    from repro.campaign.tasks import TaskError, get_task
 
     # Map the closed-form flag names onto build_scheme's parameter keys:
     # the sub-region schemes read their split/interval from --subregions
@@ -179,7 +179,11 @@ def _lifetime_paper_scale(args: argparse.Namespace) -> int:
         "outer": args.outer,
         "stages": args.stages,
     }
-    result = get_task("lifetime-ff")(params, args.seed)
+    try:
+        result = get_task("lifetime-ff")(params, args.seed)
+    except TaskError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps(result, sort_keys=True))
         return 0
@@ -472,15 +476,19 @@ def cmd_design(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     from repro.experiments import attack_matrix, summarize_matrix
 
-    cells = attack_matrix(
-        n_lines=args.lines,
-        endurance=args.endurance,
-        schemes=args.schemes,
-        attacks=args.attacks,
-        budget=args.budget,
-        seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        cells = attack_matrix(
+            n_lines=args.lines,
+            endurance=args.endurance,
+            schemes=args.schemes,
+            attacks=args.attacks,
+            budget=args.budget,
+            seed=args.seed,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(summarize_matrix(cells))
     return 0
 
@@ -510,17 +518,21 @@ def cmd_faults(args: argparse.Namespace) -> int:
               f"{side_channel_separation_ns(probes):+.1f} ns mean")
         return 0
 
-    config = PCMConfig(
-        n_lines=args.lines,
-        endurance=args.endurance,
-        read_disturb_ber=args.read_disturb,
-        ecp_entries=args.ecp,
-    )
-    results = sweep_fault_rates(
-        args.schemes, config, args.rates,
-        n_spares=args.spares, n_writes=args.writes, seed=args.seed,
-        workers=args.workers,
-    )
+    try:
+        config = PCMConfig(
+            n_lines=args.lines,
+            endurance=args.endurance,
+            read_disturb_ber=args.read_disturb,
+            ecp_entries=args.ecp,
+        )
+        results = sweep_fault_rates(
+            args.schemes, config, args.rates,
+            n_spares=args.spares, n_writes=args.writes, seed=args.seed,
+            workers=args.workers,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"fault-injection campaign: {args.lines} lines, "
           f"E={args.endurance:g}, {args.spares} spares, "
           f"{args.writes} writes, seed {args.seed}")
@@ -549,22 +561,24 @@ def _campaign_execute(args: argparse.Namespace, resume: bool) -> int:
     )
 
     try:
+        # The runner options are checked before the store is touched, so
+        # a bad option leaves no half-created campaign directory behind.
+        config = RunnerConfig(
+            workers=args.workers,
+            timeout_s=args.timeout,
+            retries=args.retries,
+            max_tasks=args.max_tasks,
+            progress=not args.quiet,
+        )
         if resume:
             store = CampaignStore.open(args.out)
             spec = store.spec()
         else:
             spec = load_spec(args.spec)
             store = CampaignStore.create(args.out, spec)
-    except (SpecError, StoreError, OSError) as exc:
+    except (SpecError, StoreError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = RunnerConfig(
-        workers=args.workers,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        max_tasks=args.max_tasks,
-        progress=not args.quiet,
-    )
     with store:
         summary = run_campaign(spec, store, config)
     note = " (stopped early: --max-tasks)" if summary.stopped_early else ""
@@ -617,78 +631,6 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def cmd_campaign_serve(args: argparse.Namespace) -> int:
-    from repro.campaign import CampaignStore, SpecError, StoreError, load_spec
-    from repro.campaign.service import ServiceConfig, serve_campaign
-
-    try:
-        if args.resume:
-            store = CampaignStore.open(args.out)
-            spec = store.spec()
-            # Resuming a big campaign: fold the log into the index once,
-            # so this serve (and every later one) skips the full scan.
-            store.compact()
-        else:
-            if args.spec is None:
-                print("error: campaign serve needs a spec file "
-                      "(or --resume)", file=sys.stderr)
-                return 2
-            spec = load_spec(args.spec)
-            store = CampaignStore.create(args.out, spec)
-        config = ServiceConfig(
-            host=args.host,
-            port=args.port,
-            lease_timeout_s=args.lease_timeout,
-            heartbeat_interval_s=args.heartbeat_interval,
-            task_timeout_s=args.task_timeout,
-            retries=args.retries,
-            max_requeues=args.max_requeues,
-            linger_s=args.linger,
-        )
-    except (SpecError, StoreError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    with store:
-        summary = serve_campaign(spec, store, config)
-    note = "" if summary.complete else " (drained before completion)"
-    print(f"campaign {spec.name}: {summary.n_ok} ok, "
-          f"{summary.n_failed} failed, {summary.n_skipped} skipped "
-          f"of {len(spec.expand())} tasks{note}")
-    return 0 if summary.complete else 1
-
-
-def cmd_campaign_worker(args: argparse.Namespace) -> int:
-    from repro.campaign.service import WorkerConfig, WorkerError, worker_main
-
-    try:
-        config = WorkerConfig(name=args.name, give_up_s=args.give_up)
-        return worker_main(
-            host=args.host,
-            port=args.port,
-            connect_dir=args.connect,
-            config=config,
-        )
-    except (WorkerError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-def cmd_campaign_watch(args: argparse.Namespace) -> int:
-    from repro.campaign.service import WorkerError, watch_main
-
-    try:
-        return watch_main(
-            host=args.host,
-            port=args.port,
-            connect_dir=args.connect,
-            interval_s=args.interval,
-            once=args.once,
-        )
-    except (WorkerError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def cmd_campaign_compact(args: argparse.Namespace) -> int:
@@ -1014,66 +956,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--output", metavar="FILE",
                     help="write the report here instead of stdout")
     sp.set_defaults(func=cmd_campaign_report)
-
-    def add_connect_args(sp: argparse.ArgumentParser) -> None:
-        sp.add_argument("--connect", metavar="DIR", default=None,
-                        help="campaign directory to discover the "
-                             "coordinator from (service.json; re-read on "
-                             "every reconnect)")
-        sp.add_argument("--host", default=None,
-                        help="coordinator host (alternative to --connect)")
-        sp.add_argument("--port", type=int, default=None,
-                        help="coordinator port (alternative to --connect)")
-
-    sp = campaign_sub.add_parser(
-        "serve",
-        help="coordinate a distributed campaign (lease tasks to workers)",
-    )
-    sp.add_argument("spec", nargs="?", default=None,
-                    help="campaign spec file (.toml or .json); omit with "
-                         "--resume")
-    sp.add_argument("--out", required=True, help="campaign directory")
-    sp.add_argument("--resume", action="store_true",
-                    help="continue an existing campaign directory")
-    sp.add_argument("--host", default="127.0.0.1")
-    sp.add_argument("--port", type=int, default=0,
-                    help="TCP port (0 = ephemeral; the bound port is "
-                         "published in <out>/service.json)")
-    sp.add_argument("--lease-timeout", type=float, default=30.0,
-                    help="heartbeat silence before a lease is requeued")
-    sp.add_argument("--heartbeat-interval", type=float, default=5.0,
-                    help="heartbeat cadence advertised to workers")
-    sp.add_argument("--task-timeout", type=float, default=0.0,
-                    help="per-attempt execution budget workers enforce "
-                         "(0 = unlimited)")
-    sp.add_argument("--retries", type=int, default=1,
-                    help="extra attempts per task-errored task")
-    sp.add_argument("--max-requeues", type=int, default=3,
-                    help="lease expiries per attempt before dead-letter")
-    sp.add_argument("--linger", type=float, default=3.0,
-                    help="seconds to keep draining workers after completion")
-    sp.set_defaults(func=cmd_campaign_serve)
-
-    sp = campaign_sub.add_parser(
-        "worker", help="execute leased tasks for a campaign coordinator"
-    )
-    add_connect_args(sp)
-    sp.add_argument("--name", default=f"worker-{os.getpid()}",
-                    help="worker name (reconnect jitter + coordinator logs)")
-    sp.add_argument("--give-up", type=float, default=60.0,
-                    help="exit 3 after this long without reaching a "
-                         "coordinator")
-    sp.set_defaults(func=cmd_campaign_worker)
-
-    sp = campaign_sub.add_parser(
-        "watch", help="live progress/ETA view of a served campaign"
-    )
-    add_connect_args(sp)
-    sp.add_argument("--interval", type=float, default=1.0,
-                    help="poll interval in seconds")
-    sp.add_argument("--once", action="store_true",
-                    help="print one status snapshot and exit")
-    sp.set_defaults(func=cmd_campaign_watch)
 
     sp = campaign_sub.add_parser(
         "compact",

@@ -12,9 +12,6 @@ lint rules over the codebase (see ``docs/lint.md``):
   (:mod:`repro.lint.callgraph`), and interprocedural function
   summaries (:mod:`repro.lint.summaries`) that carry latency/RNG/
   clock taint across call boundaries;
-* REP201–REP205 — concurrency, fork-safety, clock-domain, and
-  protocol-drift rules for the distributed campaign service
-  (:mod:`repro.lint.asyncrules`);
 * REP301–REP306 — numpy array-safety and LA/IA/PA address-domain
   rules built on the array-abstraction layer
   (:mod:`repro.lint.arrayabs`): dtype/overflow discipline, duplicate-
@@ -43,7 +40,6 @@ from repro.lint.diagnostics import (
 )
 from repro.lint import rules  # noqa: F401  (registers REP001–REP007)
 from repro.lint import flowrules  # noqa: F401  (registers REP101–REP104)
-from repro.lint import asyncrules  # noqa: F401  (registers REP201–REP205)
 from repro.lint import arrayrules  # noqa: F401  (REP301/302/303/305)
 from repro.lint import domains  # noqa: F401  (registers REP304/REP306)
 from repro.lint.baseline import (

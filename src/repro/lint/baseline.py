@@ -14,7 +14,7 @@ back in under an over-broad baseline.
 
 Format (JSON, stable ordering)::
 
-    {"format": 1, "entries": {"src/x.py|REP201|msg...": 2, ...}}
+    {"format": 1, "entries": {"src/x.py|REP101|msg...": 2, ...}}
 """
 
 from __future__ import annotations

@@ -35,12 +35,11 @@ from repro.lint.rules import dotted_name
 
 
 class StateKind(enum.Enum):
-    """What a module-level assignment binds, as far as REP103/REP203 care."""
+    """What a module-level assignment binds, as far as REP103 cares."""
 
     MUTABLE = "mutable"  #: list/dict/set literal or mutable constructor
     RNG = "rng"  #: a numpy Generator constructed at import time
     FILE = "file"  #: an ``open(...)`` handle held at module level
-    FORK = "fork"  #: a ``multiprocessing.get_context("fork")`` context
     OTHER = "other"
 
     def __str__(self) -> str:
@@ -69,10 +68,6 @@ def classify_value(value: ast.expr) -> StateKind:
             return StateKind.RNG
         if leaf == "open":
             return StateKind.FILE
-        if (leaf == "get_context" and value.args
-                and isinstance(value.args[0], ast.Constant)
-                and value.args[0].value == "fork"):
-            return StateKind.FORK
     return StateKind.OTHER
 
 

@@ -377,24 +377,6 @@ class TaintSpec:
         """
         return None
 
-    def on_mix(
-        self,
-        node: ast.AST,
-        left: ast.expr,
-        right: ast.expr,
-        left_tokens: Sequence[TaintToken],
-        right_tokens: Sequence[TaintToken],
-    ) -> Optional[str]:
-        """Sink check when two operands meet in a BinOp or Compare.
-
-        Fired once per operand pair (chained comparisons pair up
-        adjacent operands) whenever at least one side carries tokens;
-        either token list may be empty.  Lets a spec detect *mixing* of
-        taint dimensions — e.g. wall-clock arithmetic against a
-        monotonic deadline — which the single-sided hooks cannot see.
-        """
-        return None
-
     def passthrough_params(
         self, call: ast.Call
     ) -> Optional[FrozenSet[int]]:
@@ -653,8 +635,6 @@ class TaintAnalysis:
                 self._visit_call_sinks(state, sub)
             elif isinstance(sub, ast.BinOp):
                 self._visit_binop_sinks(state, sub)
-            elif isinstance(sub, ast.Compare):
-                self._visit_compare_sinks(state, sub)
         for sub in ast.walk(expr):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 self._consume_name(state, sub.id, sub)
@@ -725,34 +705,6 @@ class TaintAnalysis:
             detail = self.spec.on_binop(binop, tokens, other)
             if detail is not None:
                 self.sink_hits.append(SinkHit(tokens[0], binop, detail))
-        self._visit_mix(state, binop, binop.left, binop.right)
-
-    def _visit_compare_sinks(
-        self, state: State, compare: ast.Compare
-    ) -> None:
-        if not self._recording:
-            return
-        operands = [compare.left] + list(compare.comparators)
-        for left, right in zip(operands, operands[1:]):
-            self._visit_mix(state, compare, left, right)
-
-    def _visit_mix(
-        self,
-        state: State,
-        node: ast.AST,
-        left: ast.expr,
-        right: ast.expr,
-    ) -> None:
-        left_tokens = self._arg_tokens(state, left)
-        right_tokens = self._arg_tokens(state, right)
-        if not left_tokens and not right_tokens:
-            return
-        detail = self.spec.on_mix(
-            node, left, right, left_tokens, right_tokens
-        )
-        if detail is not None:
-            anchor = (left_tokens or right_tokens)[0]
-            self.sink_hits.append(SinkHit(anchor, node, detail))
 
     # -- state helpers -----------------------------------------------
 

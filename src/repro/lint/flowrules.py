@@ -423,7 +423,7 @@ class CampaignDeterminism(FlowRule):
             name = node.id
             if name in bound and name not in declared_global:
                 continue
-            state = self._lookup_state(project, table, name, extra)
+            state = _lookup_module_state(project, table, name, extra)
             if state is None or state[1] is StateKind.OTHER:
                 continue
             owner, kind_found = state
@@ -444,17 +444,8 @@ class CampaignDeterminism(FlowRule):
                 "state through params/seed instead",
             )
 
-    def _lookup_state(
-        self,
-        project: LintProject,
-        table: ModuleTable,
-        name: str,
-        extra: Dict[str, str],
-    ) -> Optional[Tuple[str, StateKind]]:
-        return lookup_module_state(project, table, name, extra)
 
-
-def lookup_module_state(
+def _lookup_module_state(
     project: LintProject,
     table: ModuleTable,
     name: str,

@@ -15,7 +15,7 @@ of each rule.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 from repro.lint.diagnostics import Diagnostic, LintModule, Rule, register
 
@@ -433,8 +433,7 @@ class ModuleLevelMutableState(Rule):
 
 @register
 class ParallelismOutsideCampaign(Rule):
-    """Process parallelism lives in ``repro.campaign``; sockets/async in
-    ``repro.campaign.service``.
+    """Process parallelism lives in ``repro.campaign``.
 
     ``repro.campaign.runner`` is the one audited fan-out: it derives
     per-task seeds from task identity (not from scheduling), checkpoints
@@ -442,89 +441,48 @@ class ParallelismOutsideCampaign(Rule):
     ``ProcessPoolExecutor`` elsewhere re-introduces exactly the
     schedule-dependent seeding and silent partial results the campaign
     layer exists to prevent — route the work through
-    ``repro.campaign.run_collect``/``run_tasks`` instead.
-
-    The same argument confines ``asyncio``/``socket`` to
-    ``repro.campaign.service``: the distributed coordinator/worker pair
-    is the one place where network nondeterminism is tamed by leases,
-    at-most-once commit and deterministic seeds.  Ad-hoc sockets or
-    event loops anywhere else would smuggle scheduling back into
-    results.  Tests and benchmarks are exempt from both bans.
+    ``repro.campaign.run_collect``/``run_tasks`` instead.  Tests and
+    benchmarks are exempt.
     """
 
     code = "REP007"
     name = "parallelism-outside-campaign"
 
-    _PROCESS_PREFIXES = ("multiprocessing", "concurrent.futures")
-    _NETWORK_PREFIXES = ("asyncio", "socket")
-    _EXEMPT_PARTS = frozenset({"tests", "benchmarks"})
-    _PROCESS_HOME = "campaign"
-    _NETWORK_HOMES = frozenset({"campaign", "service"})
+    _PREFIXES = ("multiprocessing", "concurrent.futures")
+    _EXEMPT_PARTS = frozenset({"tests", "benchmarks", "campaign"})
+    _ADVICE = (
+        "outside repro.campaign; use the campaign runner "
+        "(repro.campaign.run_collect/run_tasks) for parallel work"
+    )
 
-    @staticmethod
-    def _matches(module_name: str, prefixes: Tuple[str, ...]) -> bool:
+    def _matches(self, module_name: str) -> bool:
         return any(
             module_name == prefix or module_name.startswith(prefix + ".")
-            for prefix in prefixes
-        )
-
-    def _banned_groups(self, module: LintModule) -> List[Tuple[str, ...]]:
-        """The import-prefix groups this module may *not* use."""
-        if self._EXEMPT_PARTS.intersection(module.parts):
-            return []
-        parts = set(module.parts)
-        groups: List[Tuple[str, ...]] = []
-        if self._PROCESS_HOME not in parts:
-            groups.append(self._PROCESS_PREFIXES)
-        if not self._NETWORK_HOMES.issubset(parts):
-            groups.append(self._NETWORK_PREFIXES)
-        return groups
-
-    @staticmethod
-    def _advice(name: str) -> str:
-        if name.split(".")[0] in ("asyncio", "socket"):
-            return (
-                "outside repro.campaign.service; the distributed "
-                "campaign service (repro.campaign.service) is the one "
-                "audited home of async/socket I/O"
-            )
-        return (
-            "outside repro.campaign; use the campaign runner "
-            "(repro.campaign.run_collect/run_tasks) for parallel work"
+            for prefix in self._PREFIXES
         )
 
     def check(self, module: LintModule) -> Iterator[Diagnostic]:
-        groups = self._banned_groups(module)
-        if not groups:
+        if self._EXEMPT_PARTS.intersection(module.parts):
             return
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
-                    for prefixes in groups:
-                        if self._matches(alias.name, prefixes):
-                            yield self.diagnostic(
-                                module, node,
-                                f"import of '{alias.name}' "
-                                f"{self._advice(alias.name)}",
-                            )
-            elif isinstance(node, ast.ImportFrom):
-                source = node.module or ""
-                flagged = False
-                for prefixes in groups:
-                    if self._matches(source, prefixes):
+                    if self._matches(alias.name):
                         yield self.diagnostic(
                             module, node,
-                            f"import from '{source}' "
-                            f"{self._advice(source)}",
+                            f"import of '{alias.name}' {self._ADVICE}",
                         )
-                        flagged = True
-                if not flagged and source == "concurrent" and any(
-                    p == self._PROCESS_PREFIXES for p in groups
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if self._matches(source):
+                    yield self.diagnostic(
+                        module, node,
+                        f"import from '{source}' {self._ADVICE}",
+                    )
+                elif source == "concurrent" and any(
+                    alias.name == "futures" for alias in node.names
                 ):
-                    for alias in node.names:
-                        if alias.name == "futures":
-                            yield self.diagnostic(
-                                module, node,
-                                "import of 'concurrent.futures' "
-                                f"{self._advice('concurrent.futures')}",
-                            )
+                    yield self.diagnostic(
+                        module, node,
+                        f"import of 'concurrent.futures' {self._ADVICE}",
+                    )

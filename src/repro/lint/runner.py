@@ -9,9 +9,6 @@ Three rule families run per invocation:
 * the flow rules (REP101–REP104, on by default, ``--no-flow`` to skip)
   see the whole run at once through a cross-module call graph and
   interprocedural function summaries;
-* the concurrency/service rules (REP201–REP205, also flow rules)
-  guard the distributed campaign service: blocked event loops, dropped
-  awaitables, unsafe forks, mixed clock domains and protocol drift;
 * the array/address rules (REP301–REP306) enforce numpy dtype/
   aliasing discipline and the LA/IA/PA address-domain separation;
   REP305 is syntactic, the rest ride the flow pass.
@@ -45,7 +42,6 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint import rules as _rules  # noqa: F401  (populates REGISTRY)
 from repro.lint import flowrules as _flowrules  # noqa: F401  (REP101–REP104)
-from repro.lint import asyncrules as _asyncrules  # noqa: F401  (REP201–REP205)
 from repro.lint import arrayrules as _arrayrules  # noqa: F401  (REP301+)
 from repro.lint import domains as _domains  # noqa: F401  (REP304/REP306)
 from repro.lint.baseline import (

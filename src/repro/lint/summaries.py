@@ -5,7 +5,7 @@ call boundaries: ``lat = helper(...)`` is opaque unless something knows
 what ``helper`` does with and to its values.  This module computes one
 :class:`FunctionSummary` per statically-known function, bottom-up over
 the strongly connected components of the project call graph, so the
-REP1xx/REP2xx rules can ask:
+flow rules can ask:
 
 * **returns** — which taint dimensions the return value carries
   (``latency``, ``rng``, ``wallclock``, ``monotonic``);
@@ -14,18 +14,14 @@ REP1xx/REP2xx rules can ask:
   token survives the call instead of being consumed by it;
 * **rng_sink_params** — which parameters reach a stochastic component
   (directly or through further calls), the interprocedural half of
-  REP102;
-* **blocking** — a description of the first blocking call (sleep,
-  subprocess, fsync, sync socket work) the function can reach without
-  leaving synchronous code, for REP201.
+  REP102.
 
 SCC order makes the analysis one pass for acyclic call graphs; inside a
 cycle the member summaries are iterated to a fixpoint (the dimensions
-are finite sets and ``blocking`` is first-wins, so iteration always
-terminates).  Unresolvable calls (methods on arbitrary objects,
-builtins, callables passed as values) contribute nothing — the
-summaries are deliberately a *may* under-approximation that never
-guesses.
+are finite sets, so iteration always terminates).  Unresolvable calls
+(methods on arbitrary objects, builtins, callables passed as values)
+contribute nothing — the summaries are deliberately a *may*
+under-approximation that never guesses.
 """
 
 from __future__ import annotations
@@ -71,8 +67,7 @@ STOCHASTIC_PARTS = frozenset({"faults", "wearlevel", "attacks", "traffic"})
 
 _RNG_CONSTRUCTORS = frozenset({"default_rng", "RandomState", "Generator"})
 
-#: Host-clock reads split by domain (REP204): values from the two sets
-#: live on unrelated axes and must never meet arithmetically.
+#: Host-clock reads by domain (REP104 flags both on latency paths).
 WALL_CLOCK_DOTTED = frozenset(
     {"time.time", "time.time_ns",
      "datetime.now", "datetime.utcnow", "datetime.today",
@@ -84,16 +79,6 @@ MONOTONIC_DOTTED = frozenset(
      "time.perf_counter_ns", "time.process_time",
      "time.process_time_ns"}
 )
-
-#: Calls that block the calling thread (REP201).  Exact dotted names
-#: after alias expansion, plus whole-module prefixes.
-BLOCKING_DOTTED = frozenset(
-    {"time.sleep", "os.system", "os.fsync", "os.fdatasync",
-     "os.wait", "os.waitpid", "os.wait3", "os.wait4",
-     "socket.socket", "socket.create_connection",
-     "socket.getaddrinfo", "socket.gethostbyname"}
-)
-BLOCKING_PREFIXES = ("subprocess.",)
 
 
 def is_latency_method_call(call: ast.Call) -> bool:
@@ -165,30 +150,12 @@ def classify_clock_call(
     return None
 
 
-def blocking_call_desc(
-    table: ModuleTable,
-    call: ast.Call,
-    extra: Optional[Dict[str, str]] = None,
-) -> Optional[str]:
-    """Describe a directly blocking call (``time.sleep``, fsync, ...)."""
-    dotted = dotted_name(call.func)
-    if dotted is None:
-        return None
-    expanded = expand_dotted(table, dotted, extra)
-    for candidate in (dotted, expanded):
-        if candidate in BLOCKING_DOTTED:
-            return f"{dotted}()"
-        if candidate.startswith(BLOCKING_PREFIXES):
-            return f"{dotted}()"
-    return None
-
-
 def walk_own(fn: ast.AST, include_self: bool = False) -> Iterator[ast.AST]:
     """Walk a function body without descending into nested defs/lambdas.
 
     A nested function's body runs when *it* is called, not when the
-    enclosing function is — blocking calls and fork sites inside it
-    must not be attributed to the outer frame.
+    enclosing function is — what happens inside it must not be
+    attributed to the outer frame.
     """
     if include_self:
         yield fn
@@ -219,10 +186,6 @@ class FunctionSummary:
     passthrough: FrozenSet[int]
     #: Positional parameter indices that reach a stochastic component.
     rng_sink_params: FrozenSet[int]
-    #: Description of the first blocking call reachable without leaving
-    #: synchronous code; ``None`` when the function never blocks.
-    blocking: Optional[str]
-    is_async: bool
 
 
 _EMPTY: FrozenSet[str] = frozenset()
@@ -346,18 +309,11 @@ class SummaryTable:
     def _compute(self, info: FunctionInfo) -> FunctionSummary:
         table = self.project.by_path[info.module.rel_path]
         extra = self._local_imports(info)
-        is_async = isinstance(info.node, ast.AsyncFunctionDef)
-        previous = self._summaries.get(info.fq)
-        blocking = previous.blocking if previous is not None else None
-        if blocking is None and not is_async:
-            blocking = self._find_blocking(info, table, extra)
         return FunctionSummary(
             fq=info.fq,
             returns=self._return_dims(info, table, extra),
             passthrough=self._passthrough_params(info),
             rng_sink_params=self._rng_sinks(info, table, extra),
-            blocking=blocking,
-            is_async=is_async,
         )
 
     # -- returns -----------------------------------------------------
@@ -499,37 +455,6 @@ class SummaryTable:
             # the name came from, so partial trees still check.
             return "any"
         return None
-
-    # -- blocking ----------------------------------------------------
-
-    def _find_blocking(
-        self,
-        info: FunctionInfo,
-        table: ModuleTable,
-        extra: Dict[str, str],
-    ) -> Optional[str]:
-        candidates: List[Tuple[int, int, str]] = []
-        for node in walk_own(info.node):
-            if not isinstance(node, ast.Call):
-                continue
-            direct = blocking_call_desc(table, node, extra)
-            if direct is not None:
-                candidates.append((node.lineno, node.col_offset, direct))
-                continue
-            resolved = self.project.resolve_call(
-                table, node, extra, info.class_name
-            )
-            if resolved is None:
-                continue
-            summary = self._summaries.get(resolved.fq)
-            if summary is None or summary.is_async:
-                continue
-            if summary.blocking is not None:
-                desc = f"{shown_callable(node)}() -> {summary.blocking}"
-                candidates.append((node.lineno, node.col_offset, desc))
-        if not candidates:
-            return None
-        return min(candidates)[2]
 
 
 def _is_pure_passthrough(fn: ast.AST, param: str) -> bool:

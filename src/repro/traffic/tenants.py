@@ -24,7 +24,7 @@ Determinism contract (the PR-5 chunked-generator contract, extended):
 
 Virtual time is the write index: arrival-rate schedules and churn are
 evaluated against "writes so far", which keeps the stream independent
-of any host clock (reprolint REP104/REP204 territory).
+of any host clock (reprolint REP104 territory).
 """
 
 from __future__ import annotations

@@ -179,6 +179,27 @@ class TestTraceLifetimeTask:
             run_trace_lifetime_task({"scheme": "none"}, seed=0)
 
 
+@pytest.mark.parametrize("kind", ["trace-lifetime", "lifetime-ff"])
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"max_writes": -5}, "max_writes must be >= 0, got -5"),
+        ({"trace": "raa", "target": 99999}, "raa target 99999 outside [0, 64)"),
+        ({"trace": "raa", "target": -1}, "raa target -1 outside [0, 64)"),
+        ({"trace": "zipf", "alpha": 0}, "alpha must be positive"),
+    ],
+    ids=["negative-budget", "target-off-device", "negative-target", "zero-alpha"],
+)
+def test_trace_task_refuses_a_trace_it_cannot_run(kind, extra, message):
+    """A budget or trace no run can honour is a :class:`TaskError`, not a
+    zero-write result or a traceback from inside the engine."""
+    params = {"scheme": "none", "trace": "uniform", "lines": 64,
+              "endurance": 50, **extra}
+    with pytest.raises(TaskError) as info:
+        get_task(kind)(params, 1)
+    assert str(info.value) == message
+
+
 class TestTraceFileParameter:
     def test_rbt_file_drives_the_task(self):
         params = {

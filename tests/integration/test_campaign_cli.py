@@ -1,10 +1,11 @@
-"""End-to-end tests for ``repro campaign run|resume|status|report``.
+"""End-to-end tests for ``repro campaign run|resume|status|report|compact``.
 
 The in-process tests drive :func:`repro.cli.main` directly (the repo's
 CLI-test idiom).  The kill-and-resume test is the real thing: a child
-``repro campaign run`` process is ``SIGKILL``'d mid-campaign and the
-resumed campaign must converge on exactly one ``ok`` record per task —
-no duplicates, no holes.
+``repro campaign run`` process is ``SIGKILL``'d mid-campaign, the
+directory is compacted, and the campaign resumed from the index must
+converge on exactly one ``ok`` record per task — no duplicates, no
+holes — and report the same bytes as an uninterrupted serial run.
 """
 
 import json
@@ -102,6 +103,50 @@ class TestRunStatusReport:
         assert "error:" in capsys.readouterr().err
 
 
+class TestBadRunnerOptions:
+    """A bad runner option is one ``error:`` line and exit 2, written
+    before the campaign directory is, so the corrected command is not
+    refused as an existing campaign."""
+
+    OPTIONS = [
+        ["--workers", "0"], ["--timeout", "0"], ["--retries", "-1"],
+        ["--max-tasks", "-1"],
+    ]
+
+    @pytest.mark.parametrize("option", OPTIONS, ids=lambda o: o[0])
+    def test_run_creates_nothing(self, spec_file, tmp_path, capsys, option):
+        out_dir = tmp_path / "camp"
+        assert main([
+            "campaign", "run", str(spec_file), "--out", str(out_dir),
+            "--quiet", *option,
+        ]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+        assert main([
+            "campaign", "run", str(spec_file), "--out", str(out_dir),
+            "--quiet",
+        ]) == 0
+
+    @pytest.mark.parametrize("option", OPTIONS, ids=lambda o: o[0])
+    def test_resume_leaves_the_campaign_untouched(
+        self, spec_file, tmp_path, capsys, option
+    ):
+        out_dir = tmp_path / "camp"
+        main(["campaign", "run", str(spec_file), "--out", str(out_dir),
+              "--max-tasks", "1", "--quiet"])
+        log = (out_dir / "results.jsonl").read_bytes()
+        capsys.readouterr()
+        assert main(["campaign", "resume", str(out_dir), "--quiet",
+                     *option]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert (out_dir / "results.jsonl").read_bytes() == log
+
+    @pytest.mark.parametrize("command", ["matrix", "faults"])
+    def test_grid_commands_report_bad_workers(self, command, capsys):
+        assert main([command, "--workers", "0"]) == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
+
 class TestInterruptAndResume:
     def test_max_tasks_then_resume(self, spec_file, tmp_path, capsys):
         out_dir = tmp_path / "camp"
@@ -122,7 +167,8 @@ class TestInterruptAndResume:
 
 
 class TestKillAndResume:
-    def test_sigkill_mid_campaign_resumes_without_loss(self, tmp_path):
+    def test_sigkill_mid_campaign_resumes_without_loss(self, tmp_path,
+                                                       capsys):
         out_dir = tmp_path / "camp"
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO / "src")
@@ -173,12 +219,28 @@ class TestKillAndResume:
         done_before = CampaignStore.open(out_dir).completed_ids()
         if child.returncode == 0:  # finished before the kill landed
             assert done_before == all_ids
-            return
-        assert done_before < all_ids  # genuinely interrupted
+        else:
+            assert done_before < all_ids  # genuinely interrupted
 
-        assert main([
-            "campaign", "resume", str(out_dir), "--workers", "2", "--quiet",
-        ]) == 0
+            # Compact, then prove resume answers from the index and the
+            # tail without re-parsing the indexed JSONL prefix.
+            assert main(["campaign", "compact", str(out_dir)]) == 0
+            store = CampaignStore.open(out_dir)
+            real_scan = store._scan
+
+            def guarded_scan(start, include_tail=True):
+                assert start > 0, "completed_ids re-scanned the log"
+                return real_scan(start, include_tail)
+
+            store._scan = guarded_scan
+            assert store.completed_ids() == done_before
+
+            capsys.readouterr()
+            assert main([
+                "campaign", "resume", str(out_dir), "--workers", "2",
+                "--quiet",
+            ]) == 0
+            assert f"{len(done_before)} skipped" in capsys.readouterr().out
 
         store = CampaignStore.open(out_dir)
         ok_records = [r for r in store.records() if r.ok]
@@ -186,3 +248,19 @@ class TestKillAndResume:
         assert len(ok_ids) == len(set(ok_ids))  # no task ran twice
         assert set(ok_ids) == all_ids  # no holes
         assert store.status().complete
+
+        # Byte for byte the report of one uninterrupted serial run.
+        serial_dir = tmp_path / "serial"
+        assert main([
+            "campaign", "run", str(FAULT_GRID), "--out", str(serial_dir),
+            "--workers", "1", "--quiet",
+        ]) == 0
+        reports = []
+        for directory in (out_dir, serial_dir):
+            report = directory / "report.json"
+            assert main([
+                "campaign", "report", str(directory), "--format", "json",
+                "--output", str(report),
+            ]) == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]

@@ -138,6 +138,10 @@ class TestPaperScaleLifetime:
         assert "fast-forward:analytic" in out
         assert "user writes" in out
 
+    def test_refused_trace_is_an_error_line(self, capsys):
+        assert main(self.ARGS + ["--trace", "zipf", "--alpha", "0"]) == 2
+        assert capsys.readouterr().err == "error: alpha must be positive\n"
+
 
 class TestTrace:
     def test_synthetic_trace_run(self, capsys):

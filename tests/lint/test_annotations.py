@@ -26,7 +26,6 @@ STRICT_MODULES = [
     "repro/lint/__main__.py",
     "repro/lint/arrayabs.py",
     "repro/lint/arrayrules.py",
-    "repro/lint/asyncrules.py",
     "repro/lint/baseline.py",
     "repro/lint/diagnostics.py",
     "repro/lint/domains.py",
@@ -43,11 +42,6 @@ STRICT_MODULES = [
     "repro/campaign/spec.py",
     "repro/campaign/store.py",
     "repro/campaign/tasks.py",
-    "repro/campaign/service/__init__.py",
-    "repro/campaign/service/protocol.py",
-    "repro/campaign/service/coordinator.py",
-    "repro/campaign/service/worker.py",
-    "repro/campaign/service/watch.py",
     "repro/traffic/__init__.py",
     "repro/traffic/adapter.py",
     "repro/traffic/csvtrace.py",

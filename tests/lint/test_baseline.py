@@ -15,7 +15,7 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.runner import main
 
 
-def _diag(path="src/x.py", line=3, code="REP201", message="boom"):
+def _diag(path="src/x.py", line=3, code="REP101", message="boom"):
     return Diagnostic(path=path, line=line, col=1, code=code,
                       message=message)
 
@@ -35,7 +35,7 @@ class TestRoundTrip:
 
     def test_file_is_stable_json(self, tmp_path):
         path = tmp_path / "base.json"
-        write_baseline([_diag(), _diag(code="REP202")], path)
+        write_baseline([_diag(), _diag(code="REP102")], path)
         payload = json.loads(path.read_text())
         assert payload["format"] == 1
         assert list(payload["entries"]) == sorted(payload["entries"])

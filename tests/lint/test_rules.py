@@ -366,54 +366,6 @@ class TestREP007ParallelismOutsideCampaign:
             import multiprocessing  # reprolint: disable=REP007 demo only
         """) == []
 
-    def test_asyncio_and_socket_flagged_outside_service(self):
-        assert codes("""\
-            import asyncio
-            import socket
-            from asyncio import StreamReader
-            from socket import create_connection
-        """) == ["REP007"] * 4
-
-    def test_network_group_flagged_in_campaign_but_not_service(self):
-        # Process-pool imports are at home anywhere under campaign/,
-        # but async/socket code is confined one level deeper.
-        assert codes(
-            "import asyncio\n",
-            rel_path="src/repro/campaign/runner.py",
-        ) == ["REP007"]
-
-    def test_service_package_may_use_network_group(self):
-        assert codes(
-            """\
-            import asyncio
-            import socket
-            """,
-            rel_path="src/repro/campaign/service/coordinator.py",
-        ) == []
-
-    def test_service_package_may_use_process_group(self):
-        assert codes(
-            "from multiprocessing.connection import Connection\n",
-            rel_path="src/repro/campaign/service/worker.py",
-        ) == []
-
-    def test_network_unrelated_imports_ok(self):
-        assert codes("""\
-            import socketserver_helpers
-            from asyncio_tools import gather
-        """) == []
-
-    def test_tests_exempt_from_network_group(self):
-        assert codes(
-            "import asyncio\n",
-            rel_path="tests/campaign/test_service.py",
-        ) == []
-
-    def test_network_group_inline_suppression(self):
-        assert codes("""\
-            import socket  # reprolint: disable=REP007 demo only
-        """) == []
-
 
 class TestSuppressionMachinery:
     def test_disable_file_pragma(self):

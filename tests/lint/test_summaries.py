@@ -2,8 +2,8 @@
 
 Covers the properties the flow rules lean on: return-dimension
 propagation through helpers, passthrough purity, RNG sink positions,
-blocking-chain propagation, and termination/stability on recursive
-call graphs (self-loops and multi-member SCCs).
+and termination/stability on recursive call graphs (self-loops and
+multi-member SCCs).
 """
 
 import ast
@@ -100,7 +100,6 @@ class TestReturnDims:
         })
         summary = table.get("repro.a.size")
         assert summary.returns == frozenset()
-        assert summary.blocking is None
 
     def test_plain_function_is_clean(self):
         table = _summaries({
@@ -247,98 +246,18 @@ class TestRngSinks:
         assert table.get("repro.a.run").rng_sink_params == frozenset()
 
 
-class TestBlocking:
-    def test_direct_blocking_call(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import time\n"
-                "def backoff():\n"
-                "    time.sleep(1.0)\n"
-            ),
-        })
-        assert table.get("repro.a.backoff").blocking == "time.sleep()"
-
-    def test_chain_description(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import os\n"
-                "def sync_disk(fd):\n"
-                "    os.fsync(fd)\n"
-                "def persist(fd):\n"
-                "    sync_disk(fd)\n"
-            ),
-        })
-        assert (table.get("repro.a.persist").blocking
-                == "sync_disk() -> os.fsync()")
-
-    def test_async_function_never_blocking(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import time\n"
-                "async def nap():\n"
-                "    time.sleep(1.0)\n"
-            ),
-        })
-        summary = table.get("repro.a.nap")
-        assert summary.is_async and summary.blocking is None
-
-    def test_async_callee_does_not_propagate(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import time\n"
-                "async def nap():\n"
-                "    time.sleep(1.0)\n"
-                "def caller():\n"
-                "    nap()\n"
-            ),
-        })
-        assert table.get("repro.a.caller").blocking is None
-
-    def test_nested_def_not_attributed_to_outer_frame(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import time\n"
-                "def outer():\n"
-                "    def inner():\n"
-                "        time.sleep(1.0)\n"
-                "    return inner\n"
-            ),
-        })
-        assert table.get("repro.a.outer").blocking is None
-
-
 class TestCycles:
     def test_self_recursion_terminates(self):
         table = _summaries({
             "src/repro/a.py": (
                 "import time\n"
                 "def retry(n):\n"
-                "    time.sleep(1.0)\n"
                 "    if n:\n"
                 "        return retry(n - 1)\n"
-                "    return None\n"
+                "    return time.monotonic()\n"
             ),
         })
-        assert table.get("repro.a.retry").blocking == "time.sleep()"
-
-    def test_mutual_recursion_blocking_is_stable(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import time\n"
-                "def a(n):\n"
-                "    if n:\n"
-                "        return b(n - 1)\n"
-                "    time.sleep(1.0)\n"
-                "def b(n):\n"
-                "    return a(n)\n"
-            ),
-        })
-        # First-wins keeps the description finite: no `a -> b -> a ->
-        # ...` chain growth across fixpoint iterations.
-        blocking_a = table.get("repro.a.a").blocking
-        blocking_b = table.get("repro.a.b").blocking
-        assert blocking_a == "time.sleep()"
-        assert blocking_b == "a() -> time.sleep()"
+        assert table.get("repro.a.retry").returns == frozenset({"monotonic"})
 
     def test_mutual_recursion_return_dims_converge(self):
         table = _summaries({

@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-fast bench-ff bench-outputs bench-outputs-diff examples smoke faults-smoke campaign-smoke trace-smoke lint lint-flow lint-changed lint-timing clean
+.PHONY: install test bench bench-fast bench-ff bench-outputs bench-outputs-diff examples smoke faults-smoke campaign-smoke trace-smoke lint clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -55,53 +55,15 @@ examples:
 smoke:
 	PYTHONPATH=src python -m pytest tests/ -q -x -k "not matrix and not Matrix"
 
-# Worker processes for the per-file lint pass (0 = one per CPU).
-LINT_JOBS ?= 4
-
+# CI's lint command: every rule over the gated tree, stale pragmas
+# included, then mypy where it is installed.
 lint:
-	PYTHONPATH=src python -m repro.lint src/repro examples --jobs $(LINT_JOBS)
+	PYTHONPATH=src python -m repro.lint src/repro examples --check-suppressions
 	@if command -v mypy >/dev/null 2>&1; then \
 		mypy src/repro; \
 	else \
 		echo "mypy not installed; skipping type check (CI runs it)"; \
 	fi
-
-lint-flow:
-	PYTHONPATH=src python -m repro.lint src/repro examples --check-suppressions --jobs $(LINT_JOBS)
-	@mkdir -p build
-	PYTHONPATH=src python -m repro.lint src/repro examples --format sarif > build/reprolint.sarif
-	@echo "SARIF report written to build/reprolint.sarif"
-
-# Lint only the Python files changed vs origin/main (falls back to main,
-# then to a full lint when no merge base exists, e.g. shallow clones).
-# NOTE: the flow rules see only the changed files, so cross-module
-# findings need the full `make lint` — this target is the fast local
-# pre-commit loop, not the gate.
-lint-changed:
-	@base=$$(git merge-base HEAD origin/main 2>/dev/null \
-		|| git merge-base HEAD main 2>/dev/null); \
-	if [ -z "$$base" ]; then \
-		echo "lint-changed: no merge base; linting the full tree"; \
-		PYTHONPATH=src python -m repro.lint src/repro examples; \
-		exit $$?; \
-	fi; \
-	files=$$(git diff --name-only --diff-filter=d "$$base" \
-			-- 'src/repro/*.py' 'examples/*.py'; \
-		git ls-files --others --exclude-standard \
-			-- 'src/repro/*.py' 'examples/*.py'); \
-	files=$$(echo "$$files" | sort -u | while read -r f; do \
-		[ -f "$$f" ] && echo "$$f"; done); \
-	if [ -z "$$files" ]; then \
-		echo "lint-changed: no Python files changed vs $$base"; \
-	else \
-		echo "$$files" | tr '\n' ' '; echo; \
-		PYTHONPATH=src python -m repro.lint $$files; \
-	fi
-
-# Warm-cache lint wall-clock budget (CI guard: a summary-table or rule
-# regression that makes `make lint` crawl fails here, not in review).
-lint-timing:
-	PYTHONPATH=src python scripts/lint_timing.py
 
 faults-smoke:
 	PYTHONPATH=src python -m repro faults --lines 128 --endurance 400 \

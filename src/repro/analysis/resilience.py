@@ -190,15 +190,21 @@ def sweep_fault_rates(
     """
     from repro.campaign import RunnerConfig, TaskKey, run_collect
 
-    base = dataclasses.asdict(config)
+    # Build every rate's config up front: a rate PCMConfig refuses
+    # raises ValueError here, before any task runs.
+    cells = [
+        dataclasses.asdict(
+            dataclasses.replace(config, verify_fail_base=float(rate))
+        )
+        for rate in verify_fail_rates
+    ]
     keys: List[TaskKey] = []
     for scheme_name in schemes:
-        for rate in verify_fail_rates:
+        for cell in cells:
             keys.append(TaskKey.create(
                 kind="faults",
                 params={
-                    **base,
-                    "verify_fail_base": float(rate),
+                    **cell,
                     "scheme": scheme_name,
                     "n_spares": n_spares,
                     "n_writes": n_writes,

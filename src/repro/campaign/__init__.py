@@ -48,7 +48,6 @@ from repro.campaign.tasks import (
     TaskError,
     get_task,
     register_task_kind,
-    registered_tasks,
     task_kinds,
 )
 
@@ -72,7 +71,6 @@ __all__ = [
     "run_campaign",
     "run_collect",
     "run_tasks",
-    "registered_tasks",
     "task_kinds",
     "to_csv",
     "to_json",

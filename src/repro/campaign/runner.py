@@ -20,9 +20,9 @@ Execution contract (the one the determinism tests pin down):
   against the limit.  The worker process is *not* killed mid-task
   (POSIX offers no safe way to do that to a fork-sharing child); the
   pool drains it at shutdown.
-* **Bounded in-flight** — at most ``max_inflight`` (default
-  ``2 * workers``) tasks are submitted at once, so million-point grids
-  don't materialise a million pickled futures.
+* **Bounded in-flight** — at most ``2 * workers`` tasks are submitted
+  at once, so million-point grids don't materialise a million pickled
+  futures.
 
 ``workers=1`` runs everything inline in the calling process — no pool,
 no pickling — which is both the determinism baseline and the cheap path
@@ -108,7 +108,6 @@ class RunnerConfig:
     workers: int = 1
     timeout_s: Optional[float] = None
     retries: int = 1
-    max_inflight: Optional[int] = None
     max_tasks: Optional[int] = None
     progress: bool = False
 
@@ -119,8 +118,6 @@ class RunnerConfig:
             raise ValueError("retries must be >= 0")
         if self.timeout_s is not None and self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
-        if self.max_inflight is not None and self.max_inflight < 1:
-            raise ValueError("max_inflight must be >= 1")
         if self.max_tasks is not None and self.max_tasks < 0:
             raise ValueError("max_tasks must be >= 0")
 
@@ -256,7 +253,7 @@ def _run_parallel(
     sink: Sink,
     reporter: ProgressReporter,
 ) -> RunSummary:
-    max_inflight = config.max_inflight or 2 * config.workers
+    max_inflight = 2 * config.workers
     pending: Deque[Tuple[TaskKey, int]] = deque((key, 0) for key in tasks)
     inflight: Dict["Future[Dict[str, object]]", _Inflight] = {}
     # Timed-out attempts whose future could not be cancelled: the

@@ -71,17 +71,6 @@ def task_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_TASK_KINDS))
 
 
-def registered_tasks() -> Dict[str, TaskFn]:
-    """A snapshot of the registry: ``kind name -> task function``.
-
-    Exists so tooling (reprolint's REP103 campaign-determinism rule,
-    importable enumeration in tests) can compare the *runtime* registry
-    against what static analysis discovered, without reaching into the
-    private ``_TASK_KINDS`` dict.
-    """
-    return dict(_TASK_KINDS)
-
-
 def get_task(kind: str) -> TaskFn:
     """Resolve a kind name; raises :class:`TaskError` when unknown."""
     try:
@@ -119,6 +108,16 @@ def _max_writes(
     if budget < 0:
         raise TaskError(f"max_writes must be >= 0, got {budget}")
     return budget
+
+
+def _pcm_config(**fields: Any) -> PCMConfig:
+    """``PCMConfig(**fields)``; a field the config refuses (a zero
+    endurance, a line count that is not a power of two) raises
+    :class:`TaskError`."""
+    try:
+        return PCMConfig(**fields)
+    except ValueError as exc:
+        raise TaskError(str(exc)) from None
 
 
 def _trace_spec(
@@ -232,8 +231,19 @@ def build_scheme(
     :data:`repro.experiments.SCHEME_FACTORIES` builds every scheme with
     these defaults; ``regions`` / ``interval`` / ``outer`` / ``stages``
     parameters (:data:`SCHEME_PARAMS`) override them (the knobs
-    ``repro simulate`` has always exposed).
+    ``repro simulate`` has always exposed).  A value the scheme refuses
+    (an interval of 0, a line count its regions cannot split) raises
+    :class:`TaskError`.
     """
+    try:
+        return _construct_scheme(name, n_lines, seed, params)
+    except ValueError as exc:
+        raise TaskError(str(exc)) from None
+
+
+def _construct_scheme(
+    name: str, n_lines: int, seed: int, params: Mapping[str, Scalar]
+) -> "WearLeveler":
     from repro.core.security_rbsg import SecurityRBSG
     from repro.wearlevel import (
         MultiWaySR,
@@ -308,7 +318,7 @@ def run_simulate_task(
     budget = _int(params, "budget", 50_000_000)
     target = _int(params, "target", 5)
 
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
+    config = _pcm_config(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
     controller = MemoryController(scheme, config)
     attack: Any
@@ -393,7 +403,7 @@ def run_trace_lifetime_task(
         )
     else:
         trace = _trace_spec(params, trace_name, n_lines, seed, batch=4096)
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
+    config = _pcm_config(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
     controller = MemoryController(scheme, config)
     driver = run_trace_fast if fast else run_trace
@@ -448,7 +458,7 @@ def run_lifetime_ff_task(
     mode = str(params.get("fast_forward", "auto"))
     spec = _trace_spec(params, trace_name, n_lines, seed, batch=8192)
 
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
+    config = _pcm_config(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
     controller = MemoryController(scheme, config)
     result = run_trace_fast(
@@ -517,7 +527,7 @@ def run_tenant_lifetime_task(
         )
     mixer = spec.build_mixer(n_lines, seed)
 
-    config = PCMConfig(n_lines=n_lines, endurance=endurance)
+    config = _pcm_config(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
     controller = MemoryController(scheme, config)
 
@@ -556,7 +566,7 @@ def run_faults_task(
         "scheme", "n_spares", "n_writes", "degraded_mode", *pcm_fields,
     ))
     scheme = _str(params, "scheme")
-    config = PCMConfig(  # type: ignore[arg-type]
+    config = _pcm_config(
         **{k: v for k, v in params.items() if k in pcm_fields}
     )
     result = run_fault_campaign(

@@ -649,25 +649,7 @@ def cmd_campaign_compact(args: argparse.Namespace) -> int:
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint.runner import main as lint_main
 
-    argv: List[str] = list(args.paths)
-    argv += ["--format", args.format]
-    if args.select:
-        argv += ["--select", args.select]
-    if args.ignore:
-        argv += ["--ignore", args.ignore]
-    if not args.flow:
-        argv.append("--no-flow")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.check_suppressions:
-        argv.append("--check-suppressions")
-    if args.baseline:
-        argv += ["--baseline", *args.baseline]
-    if args.list_rules:
-        argv.append("--list-rules")
-    return lint_main(argv)
+    return lint_main(args.lint_args)
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
@@ -964,33 +946,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("out", help="campaign directory")
     sp.set_defaults(func=cmd_campaign_compact)
 
+    # The linter's own parser (repro.lint.runner) reads every argument:
+    # no prefix char of this subparser can start a flag, so REMAINDER
+    # keeps leading options such as --list-rules for it.
     p = sub.add_parser(
-        "lint", help="reprolint: simulator-invariant static analysis"
+        "lint", help="reprolint: simulator-invariant static analysis",
+        add_help=False, prefix_chars="\0",
     )
-    p.add_argument("paths", nargs="*", default=["src/repro"],
-                   help="files or directories to lint (default: src/repro)")
-    p.add_argument("--format", choices=["text", "json", "sarif"],
-                   default="text")
-    p.add_argument("--select", metavar="CODES",
-                   help="comma-separated rule codes to run")
-    p.add_argument("--ignore", metavar="CODES",
-                   help="comma-separated rule codes to skip")
-    p.add_argument("--flow", dest="flow", action="store_true", default=True,
-                   help="run flow-sensitive rules REP101-REP306 (default)")
-    p.add_argument("--no-flow", dest="flow", action="store_false",
-                   help="skip the flow-sensitive rules")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the incremental cache")
-    p.add_argument("-j", "--jobs", type=int, default=1, metavar="N",
-                   help="worker processes for the per-file pass "
-                        "(0 = one per CPU; output is byte-identical)")
-    p.add_argument("--check-suppressions", action="store_true",
-                   help="report stale reprolint pragmas (REP100)")
-    p.add_argument("--baseline", nargs=2, metavar=("MODE", "FILE"),
-                   help="'write FILE' records current findings; "
-                        "'check FILE' reports only new or stale ones")
-    p.add_argument("--list-rules", action="store_true",
-                   help="describe every registered rule and exit")
+    p.add_argument("lint_args", nargs=argparse.REMAINDER)
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser("perf", help="IPC impact (§V-C4)")

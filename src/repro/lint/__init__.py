@@ -6,19 +6,14 @@ bit-deterministic under a seed and accounts every nanosecond on the
 attacker-observable path.  This package enforces those invariants as
 lint rules over the codebase (see ``docs/lint.md``):
 
-* REP001–REP007 — per-file syntactic rules;
-* REP101–REP104 — flow-sensitive rules built on a dataflow engine
+* REP001–REP007 — per-file syntactic rules (:mod:`repro.lint.rules`);
+* REP101 — the flow-sensitive latency-taint rule
+  (:mod:`repro.lint.flowrules`), built on a dataflow engine
   (:mod:`repro.lint.flow`), a cross-module call graph
-  (:mod:`repro.lint.callgraph`), and interprocedural function
-  summaries (:mod:`repro.lint.summaries`) that carry latency/RNG/
-  clock taint across call boundaries;
-* REP301–REP306 — numpy array-safety and LA/IA/PA address-domain
-  rules built on the array-abstraction layer
-  (:mod:`repro.lint.arrayabs`): dtype/overflow discipline, duplicate-
-  index accumulation, silent downcasts, nondeterministic array
-  construction (:mod:`repro.lint.arrayrules`), plus address-domain
-  confusion and batched-API contract drift
-  (:mod:`repro.lint.domains`).
+  (:mod:`repro.lint.callgraph`) and interprocedural function summaries
+  (:mod:`repro.lint.summaries`) that carry latency taint across call
+  boundaries;
+* REP100 — the stale-pragma check of ``--check-suppressions``.
 
 >>> from repro.lint import lint_source
 >>> lint_source("import numpy as np\\nx = np.random.rand()\\n")[0].code
@@ -39,16 +34,7 @@ from repro.lint.diagnostics import (
     register,
 )
 from repro.lint import rules  # noqa: F401  (registers REP001–REP007)
-from repro.lint import flowrules  # noqa: F401  (registers REP101–REP104)
-from repro.lint import arrayrules  # noqa: F401  (REP301/302/303/305)
-from repro.lint import domains  # noqa: F401  (registers REP304/REP306)
-from repro.lint.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import LintCache
+from repro.lint import flowrules  # noqa: F401  (registers REP101)
 from repro.lint.callgraph import LintProject
 from repro.lint.runner import (
     LintResult,
@@ -67,11 +53,9 @@ from repro.lint.summaries import (
 from repro.lint.suppress import SuppressionMap, parse_suppressions
 
 __all__ = (
-    "BaselineError",
     "Diagnostic",
     "FlowRule",
     "FunctionSummary",
-    "LintCache",
     "LintModule",
     "LintProject",
     "LintResult",
@@ -81,17 +65,14 @@ __all__ = (
     "SummaryTable",
     "SuppressionMap",
     "all_rules",
-    "apply_baseline",
     "lint_paths",
     "lint_source",
     "lint_sources",
     "lint_tree",
-    "load_baseline",
     "main",
     "parse_suppressions",
     "project_summaries",
     "register",
     "render_sarif",
     "to_sarif",
-    "write_baseline",
 )

@@ -1,74 +1,33 @@
 """Module-level symbol tables and a cross-module call graph.
 
-The flow rules need to see *through* module boundaries: a latency
-helper defined in ``repro.sim`` and called from an attack, a campaign
-task function whose inner loop lives three imports away.  This module
+The flow rule REP101 needs to see *through* module boundaries: a
+latency helper defined in ``repro.sim`` and called from an attack.  This module
 builds, from nothing but the parsed sources handed to one lint run:
 
 * a :class:`ModuleTable` per file — top-level functions, class methods
   (``Class.method`` qualnames, with ``Class`` itself resolving to its
-  ``__init__``), import aliases, and a classification of every
-  module-level assignment (mutable literal / RNG / open file handle);
-* a :class:`LintProject` — the tables keyed by dotted module name, a
+  ``__init__``) and import aliases;
+* a :class:`LintProject` — the tables keyed by dotted module name and a
   dotted-name resolver for call expressions (``helper(...)``,
-  ``mod.helper(...)``, ``pkg.mod.Class(...)``, ``self.method(...)``),
-  and a breadth-first :meth:`LintProject.reachable` walk that follows
-  resolvable call edges, honouring function-local imports (the
-  repository's cycle-avoidance idiom).
+  ``mod.helper(...)``, ``pkg.mod.Class(...)``, ``self.method(...)``)
+  that honours function-local imports (the repository's
+  cycle-avoidance idiom).
 
 Resolution is deliberately conservative: a call that cannot be resolved
 statically (a method on an arbitrary object, a callable passed as a
-value) simply contributes no edge.  Flow rules treat unresolved calls
-as opaque.
+value) simply contributes no edge.  REP101 treats unresolved calls as
+opaque.
 """
 
 from __future__ import annotations
 
 import ast
-import enum
 from dataclasses import dataclass, field
 from pathlib import PurePosixPath
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.lint.diagnostics import LintModule
 from repro.lint.rules import dotted_name
-
-
-class StateKind(enum.Enum):
-    """What a module-level assignment binds, as far as REP103 cares."""
-
-    MUTABLE = "mutable"  #: list/dict/set literal or mutable constructor
-    RNG = "rng"  #: a numpy Generator constructed at import time
-    FILE = "file"  #: an ``open(...)`` handle held at module level
-    OTHER = "other"
-
-    def __str__(self) -> str:
-        return self.value
-
-
-_MUTABLE_CALLS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque",
-     "Counter", "OrderedDict"}
-)
-_RNG_CALLS = frozenset({"default_rng", "as_generator", "RandomState",
-                        "Generator"})
-
-
-def classify_value(value: ast.expr) -> StateKind:
-    """Classify one module-level initializer expression."""
-    if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                          ast.DictComp, ast.SetComp)):
-        return StateKind.MUTABLE
-    if isinstance(value, ast.Call):
-        dotted = dotted_name(value.func)
-        leaf = dotted.split(".")[-1] if dotted else None
-        if leaf in _MUTABLE_CALLS:
-            return StateKind.MUTABLE
-        if leaf in _RNG_CALLS:
-            return StateKind.RNG
-        if leaf == "open":
-            return StateKind.FILE
-    return StateKind.OTHER
 
 
 def module_name_for(rel_path: str) -> str:
@@ -111,15 +70,6 @@ class FunctionInfo:
 
 
 @dataclass
-class ModuleState:
-    """One module-level binding and its classification."""
-
-    name: str
-    kind: StateKind
-    node: ast.stmt
-
-
-@dataclass
 class ModuleTable:
     """Symbol table of one module."""
 
@@ -128,19 +78,13 @@ class ModuleTable:
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
     #: local alias -> fully qualified dotted target.
     imports: Dict[str, str] = field(default_factory=dict)
-    state: Dict[str, ModuleState] = field(default_factory=dict)
     #: class name -> attribute -> declared type (a dotted annotation
     #: string), harvested from annotated ``__init__`` parameters stored
-    #: on ``self`` — lets ``self.store.append(...)`` resolve.  PR 9
-    #: extends the harvest to constructor assignments
-    #: (``self.outer = DynamicFeistelMapper(...)``) and list
-    #: comprehensions of constructors (``self.regions = [Region(...)
-    #: for ...]`` records the *element* type), which is what lets the
-    #: address-domain rules type ``self.outer.translate(...)`` calls.
+    #: on ``self`` — lets ``self.store.append(...)`` resolve — and from
+    #: constructor assignments (``self.outer = DynamicFeistelMapper(...)``)
+    #: and list comprehensions of constructors (``self.regions =
+    #: [Region(...) for ...]`` records the *element* type).
     attr_types: Dict[str, Dict[str, str]] = field(default_factory=dict)
-    #: class name -> base-class dotted names as written (unexpanded;
-    #: run them through :func:`expand_dotted` to follow imports).
-    class_bases: Dict[str, List[str]] = field(default_factory=dict)
 
 
 def _collect_imports(
@@ -252,20 +196,6 @@ def _harvest_attr_types(cls: ast.ClassDef, into: Dict[str, str]) -> None:
                 into.setdefault(target.attr, ctor)
 
 
-def _record_state(
-    table: ModuleTable, name: str, value: ast.expr, stmt: ast.stmt
-) -> None:
-    """Record one module-level binding; a classified kind is never
-    downgraded to OTHER by a later rebinding (``x = ctx`` in ``try``,
-    ``x = None`` in ``except`` must stay a fork context)."""
-    kind = classify_value(value)
-    existing = table.state.get(name)
-    if existing is not None and kind is StateKind.OTHER \
-            and existing.kind is not StateKind.OTHER:
-        return
-    table.state[name] = ModuleState(name, kind, stmt)
-
-
 def _scan_body(
     table: ModuleTable, stmts: Sequence[ast.stmt], depth: int = 0
 ) -> None:
@@ -283,20 +213,9 @@ def _scan_body(
                     )
             attrs = table.attr_types.setdefault(stmt.name, {})
             _harvest_attr_types(stmt, attrs)
-            table.class_bases[stmt.name] = [
-                d for d in (dotted_name(b) for b in stmt.bases)
-                if d is not None
-            ]
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    _record_state(table, target.id, stmt.value, stmt)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            if isinstance(stmt.target, ast.Name):
-                _record_state(table, stmt.target.id, stmt.value, stmt)
         elif isinstance(stmt, ast.Try) and depth < 2:
-            # Module-level feature probes (``try: ctx = get_context("fork")
-            # except ValueError: ctx = None``) still bind module state.
+            # Definitions behind module-level feature probes
+            # (``try: ... except ImportError: ...``) are still functions.
             for sub in (stmt.body, stmt.orelse, stmt.finalbody):
                 _scan_body(table, sub, depth + 1)
             for handler in stmt.handlers:
@@ -342,15 +261,6 @@ def expand_dotted(
     return f"{target}.{rest}" if rest else target
 
 
-@dataclass
-class CallSite:
-    """One resolved call edge, for path reporting."""
-
-    caller: FunctionInfo
-    callee: FunctionInfo
-    node: ast.Call
-
-
 class LintProject:
     """All modules of one lint run, cross-referenced."""
 
@@ -365,10 +275,6 @@ class LintProject:
         #: Memoisation slot for :class:`repro.lint.summaries.SummaryTable`
         #: (typed loosely to avoid a circular import).
         self.summary_cache: Optional[object] = None
-        #: Memoisation slots for the array-abstraction and address-domain
-        #: layers (:mod:`repro.lint.arrayabs`, :mod:`repro.lint.domains`).
-        self.array_summary_cache: Optional[object] = None
-        self.domain_summary_cache: Optional[object] = None
 
     # -- lookup ------------------------------------------------------
 
@@ -475,63 +381,3 @@ class LintProject:
                 yield node, self.resolve_call(
                     table, node, extra, info.class_name
                 )
-
-    def reachable(
-        self, roots: Sequence[FunctionInfo]
-    ) -> Dict[str, Tuple[FunctionInfo, Tuple[str, ...]]]:
-        """BFS over resolvable call edges from ``roots``.
-
-        Returns ``fq -> (info, path)`` where ``path`` is the chain of
-        fully qualified names from a root to the function (roots map to
-        a one-element path).
-        """
-        seen: Dict[str, Tuple[FunctionInfo, Tuple[str, ...]]] = {}
-        queue: List[Tuple[FunctionInfo, Tuple[str, ...]]] = [
-            (root, (root.fq,)) for root in roots
-        ]
-        while queue:
-            info, path = queue.pop(0)
-            if info.fq in seen:
-                continue
-            seen[info.fq] = (info, path)
-            for _, callee in self.iter_calls(info):
-                if callee is not None and callee.fq not in seen:
-                    queue.append((callee, path + (callee.fq,)))
-        return seen
-
-
-def find_task_registrations(
-    project: LintProject,
-) -> List[Tuple[ModuleTable, ast.Call, Optional[str],
-                Optional[FunctionInfo]]]:
-    """Every ``register_task_kind(name, fn)`` call in the project.
-
-    Yields ``(table, call, kind_name, target)``; ``target`` is None when
-    the registered callable is not a resolvable module-level function
-    (a lambda, a closure, a bound method...) — REP103 flags those.
-    """
-    found: List[Tuple[ModuleTable, ast.Call, Optional[str],
-                      Optional[FunctionInfo]]] = []
-    for table in project.tables.values():
-        for node in ast.walk(table.module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = dotted_name(node.func)
-            if dotted is None or dotted.split(".")[-1] != "register_task_kind":
-                continue
-            kind_name: Optional[str] = None
-            if node.args and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                kind_name = node.args[0].value
-            fn_expr: Optional[ast.expr] = None
-            if len(node.args) >= 2:
-                fn_expr = node.args[1]
-            else:
-                for kw in node.keywords:
-                    if kw.arg == "fn":
-                        fn_expr = kw.value
-            target = None
-            if fn_expr is not None:
-                target = project.resolve_name(table, fn_expr)
-            found.append((table, node, kind_name, target))
-    return found

@@ -55,18 +55,6 @@ class Diagnostic:
             "message": self.message,
         }
 
-    @classmethod
-    def from_json(cls, payload: Dict[str, object]) -> "Diagnostic":
-        """Inverse of :meth:`to_json` (used by the incremental cache)."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),  # type: ignore[arg-type]
-            col=int(payload["col"]),  # type: ignore[arg-type]
-            code=str(payload["code"]),
-            message=str(payload["message"]),
-            severity=Severity(str(payload["severity"])),
-        )
-
 
 @dataclass
 class LintModule:
@@ -129,15 +117,15 @@ class Rule:
 
 
 class FlowRule(Rule):
-    """Base class for flow-sensitive, project-wide rules (REP101+).
+    """Base class for flow-sensitive, project-wide rules (REP101).
 
     Flow rules see the *whole* lint run at once — every parsed module,
     cross-referenced by :class:`repro.lint.callgraph.LintProject` — so
     they can follow values through helper wrappers and module
     boundaries.  The runner calls :meth:`check_project` once per run
-    (when ``--flow`` is enabled, the default) instead of :meth:`check`
-    per module; diagnostics still carry the path of the module they
-    fire in, so inline suppressions work unchanged.
+    instead of :meth:`check` per module; diagnostics still carry the
+    path of the module they fire in, so inline suppressions work
+    unchanged.
     """
 
     def check(self, module: LintModule) -> Iterator[Diagnostic]:
@@ -148,12 +136,6 @@ class FlowRule(Rule):
         """Yield every violation found across ``project`` (a
         :class:`repro.lint.callgraph.LintProject`)."""
         raise NotImplementedError
-
-    def diagnostic_at(
-        self, module: LintModule, node: ast.AST, message: str
-    ) -> Diagnostic:
-        """Alias of :meth:`Rule.diagnostic` (kept for call-site clarity)."""
-        return self.diagnostic(module, node, message)
 
 
 #: Rule code -> singleton instance; populated by :func:`register`.

@@ -1,7 +1,7 @@
 """Intra-procedural CFG + forward-dataflow (taint) engine for reprolint.
 
-The flow-rule family (REP101–REP104, :mod:`repro.lint.flowrules`) needs
-more than per-node pattern matching: *"is this latency value consumed on
+The flow rule REP101 (:mod:`repro.lint.flowrules`) needs more than
+per-node pattern matching: *"is this latency value consumed on
 every path?"* is a property of the control-flow graph, not of any single
 AST node.  This module supplies the two reusable pieces:
 
@@ -20,7 +20,7 @@ AST node.  This module supplies the two reusable pieces:
   regenerates the *same* token (token identity = source location).
 
 A :class:`TaintSpec` plugs the domain in: which calls create tokens,
-and which uses are interesting sinks.  Consumption is conservative —
+and which calls pass an argument through.  Consumption is conservative —
 any load of a holding name (argument, arithmetic, comparison, return,
 subscript, closure capture...) consumes the token on that path; plain
 ``y = x`` aliasing transfers the token instead, and rebinding a name
@@ -307,75 +307,17 @@ class TaintToken:
     first_holder: Optional[str] = None
 
 
-@dataclass
-class SinkHit:
-    """One tainted value reaching a spec-designated sink."""
-
-    token: TaintToken
-    node: ast.AST
-    detail: str
-
-
-@dataclass
-class PositionalHit:
-    """One tainted argument of a call, with its slot."""
-
-    #: Positional index, or ``None`` for a keyword argument.
-    pos: Optional[int]
-    #: Keyword name, or ``None`` for a positional argument.
-    kw: Optional[str]
-    token: TaintToken
-
-
 class TaintSpec:
-    """Domain plug-in: what is a source, and which uses are sinks.
+    """Domain plug-in: which calls are sources, which pass values through.
 
-    Subclasses override :meth:`source`; the sink hooks default to
-    "plain consumption, nothing to report" so every-path rules like
-    REP101 only need sources.
+    Subclasses override :meth:`source`; every use of a tainted value is
+    a plain consumption, so an every-path rule like REP101 only needs
+    sources.
     """
 
     def source(self, call: ast.Call) -> Optional[str]:
         """Return a description when ``call`` mints a taint token."""
         raise NotImplementedError
-
-    def on_bind(
-        self, name: str, tokens: Sequence[TaintToken], node: ast.AST
-    ) -> Optional[str]:
-        """Sink check when a tainted value is bound to ``name``."""
-        return None
-
-    def on_call_arg(
-        self,
-        call: ast.Call,
-        tokens: Sequence[TaintToken],
-        node: ast.AST,
-    ) -> Optional[str]:
-        """Sink check when a tainted value is passed to ``call``."""
-        return None
-
-    def on_binop(
-        self,
-        binop: ast.BinOp,
-        tokens: Sequence[TaintToken],
-        other: ast.AST,
-    ) -> Optional[str]:
-        """Sink check when a tainted value meets ``other`` arithmetically."""
-        return None
-
-    def on_call_pos(
-        self,
-        call: ast.Call,
-        hits: Sequence["PositionalHit"],
-    ) -> Optional[str]:
-        """Sink check with *positions*: which arg slots carry taint.
-
-        Unlike :meth:`on_call_arg` (any tainted argument), this hands
-        the spec one :class:`PositionalHit` per tainted argument with
-        its positional index or keyword name, so interprocedural rules
-        can match against a callee summary's parameter sets.
-        """
-        return None
 
     def passthrough_params(
         self, call: ast.Call
@@ -402,28 +344,21 @@ def _is_discard_name(name: str) -> bool:
 class TaintAnalysis:
     """Run one :class:`TaintSpec` over one function CFG.
 
-    Two passes: a worklist fixpoint to stabilise the per-block entry
-    states, then one deterministic reporting sweep that replays the
-    transfer function with sink hooks armed.  ``pending_at_exit`` holds
-    the tokens that reach the *normal* exit unconsumed on at least one
-    path (exception exits are deliberately ignored).
+    A worklist fixpoint stabilises the per-block entry states;
+    ``pending_at_exit`` then holds the tokens that reach the *normal*
+    exit unconsumed on at least one path (exception exits are
+    deliberately ignored).
     """
 
     def __init__(self, cfg: CFG, spec: TaintSpec) -> None:
         self.cfg = cfg
         self.spec = spec
         self.tokens: Dict[TokenSite, TaintToken] = {}
-        self.sink_hits: List[SinkHit] = []
-        self._recording = False
 
     # -- public API --------------------------------------------------
 
     def run(self) -> "TaintAnalysis":
         in_states = run_forward(self.cfg, self._transfer)
-        self._recording = True
-        for bid in sorted(in_states):
-            self._transfer(self.cfg.block(bid), in_states[bid])
-        self._recording = False
         exit_state = in_states.get(self.cfg.exit, {})
         self.pending_at_exit: List[TaintToken] = [
             self.tokens[site] for site in sorted(exit_state)
@@ -472,10 +407,6 @@ class TaintAnalysis:
             # Read-modify-write: accumulating *into* a name is a use of
             # both sides (``total += latency`` is the canonical sink).
             target = stmt.target
-            if (self._recording and isinstance(target, ast.Name)
-                    and isinstance(stmt.value, ast.Name)):
-                sites = self._sites_held_by(state, stmt.value.id)
-                self._report_bind([target.id], sites, stmt)
             self._consume(state, stmt.value)
             if isinstance(target, ast.Name):
                 self._consume_name(state, target.id, target)
@@ -538,8 +469,6 @@ class TaintAnalysis:
                     kept = [n for n in name_targets
                             if not _is_discard_name(n)]
                     state[site] = holders | frozenset(kept)
-            if sites and name_targets:
-                self._report_bind(name_targets, sites, value)
             return
 
         if isinstance(value, ast.Call):
@@ -557,7 +486,6 @@ class TaintAnalysis:
                     state[site] = frozenset(
                         n for n in name_targets if not _is_discard_name(n)
                     )
-                    self._report_bind(name_targets, [site], value)
                 # Otherwise every target was a discard (``_ = ...``) or
                 # an escaping store (``self.x = ...``): consumed.
                 return
@@ -578,9 +506,7 @@ class TaintAnalysis:
             # is an explicit drop.)
             for site, prior in passed.items():
                 state[site] = prior | holders
-            self._report_bind(name_targets, sorted(passed), value)
         if holders:
-            sites: List[TokenSite] = []
             for child in ast.walk(value):
                 if not isinstance(child, ast.Call):
                     continue
@@ -589,9 +515,6 @@ class TaintAnalysis:
                     continue
                 site = self._mint(state, child, desc, min(holders))
                 state[site] = holders
-                sites.append(site)
-            if sites:
-                self._report_bind(name_targets, sites, value)
 
     def _passed_through(
         self, state: State, value: ast.expr
@@ -610,31 +533,10 @@ class TaintAnalysis:
                 passed[site] = state[site]
         return passed
 
-    def _report_bind(
-        self,
-        names: Sequence[str],
-        sites: Sequence[TokenSite],
-        node: ast.AST,
-    ) -> None:
-        if not self._recording:
-            return
-        tokens = [self.tokens[s] for s in sites if s in self.tokens]
-        if not tokens:
-            return
-        for name in names:
-            detail = self.spec.on_bind(name, tokens, node)
-            if detail is not None:
-                self.sink_hits.append(SinkHit(tokens[0], node, detail))
-
     # -- consumption -------------------------------------------------
 
     def _consume(self, state: State, expr: ast.AST) -> None:
         """Every Name load in ``expr`` consumes the tokens it holds."""
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call):
-                self._visit_call_sinks(state, sub)
-            elif isinstance(sub, ast.BinOp):
-                self._visit_binop_sinks(state, sub)
         for sub in ast.walk(expr):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 self._consume_name(state, sub.id, sub)
@@ -649,62 +551,6 @@ class TaintAnalysis:
     ) -> None:
         for site in self._sites_held_by(state, name):
             state.pop(site, None)
-
-    def _arg_tokens(
-        self, state: State, arg: ast.expr
-    ) -> List[TaintToken]:
-        """Tokens carried by one argument: held (Name) or fresh (Call)."""
-        if isinstance(arg, ast.Name):
-            return [
-                self.tokens[site]
-                for site in self._sites_held_by(state, arg.id)
-                if site in self.tokens
-            ]
-        if isinstance(arg, ast.Call):
-            desc = self.spec.source(arg)
-            if desc is not None:
-                return [TaintToken((arg.lineno, arg.col_offset), desc)]
-        return []
-
-    def _visit_call_sinks(self, state: State, call: ast.Call) -> None:
-        if not self._recording:
-            return
-        tokens: List[TaintToken] = []
-        hits: List[PositionalHit] = []
-        for pos, arg in enumerate(call.args):
-            for token in self._arg_tokens(state, arg):
-                tokens.append(token)
-                hits.append(PositionalHit(pos, None, token))
-        for kw in call.keywords:
-            for token in self._arg_tokens(state, kw.value):
-                tokens.append(token)
-                hits.append(PositionalHit(None, kw.arg, token))
-        if not tokens:
-            return
-        detail = self.spec.on_call_arg(call, tokens, call)
-        if detail is not None:
-            self.sink_hits.append(SinkHit(tokens[0], call, detail))
-        detail = self.spec.on_call_pos(call, hits)
-        if detail is not None:
-            self.sink_hits.append(SinkHit(hits[0].token, call, detail))
-
-    def _visit_binop_sinks(self, state: State, binop: ast.BinOp) -> None:
-        if not self._recording:
-            return
-        for side, other in ((binop.left, binop.right),
-                            (binop.right, binop.left)):
-            if not isinstance(side, ast.Name):
-                continue
-            tokens = [
-                self.tokens[site]
-                for site in self._sites_held_by(state, side.id)
-                if site in self.tokens
-            ]
-            if not tokens:
-                continue
-            detail = self.spec.on_binop(binop, tokens, other)
-            if detail is not None:
-                self.sink_hits.append(SinkHit(tokens[0], binop, detail))
 
     # -- state helpers -----------------------------------------------
 

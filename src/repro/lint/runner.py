@@ -1,33 +1,15 @@
-"""reprolint driver: file discovery, rule execution, caching, reporting.
+"""reprolint driver: file discovery, rule execution, reporting.
 
-Run as ``python -m repro.lint [paths...]`` or ``python -m repro lint``.
+Run as ``python -m repro.lint [paths...]`` or ``python -m repro lint``
+(which hands its arguments to :func:`main` unchanged).
 Exit status: 0 clean, 1 violations found, 2 usage error.
 
-Three rule families run per invocation:
-
-* the syntactic rules (REP001–REP007) check each file independently;
-* the flow rules (REP101–REP104, on by default, ``--no-flow`` to skip)
-  see the whole run at once through a cross-module call graph and
-  interprocedural function summaries;
-* the array/address rules (REP301–REP306) enforce numpy dtype/
-  aliasing discipline and the LA/IA/PA address-domain separation;
-  REP305 is syntactic, the rest ride the flow pass.
-
-``--jobs N`` fans the syntactic pass over N worker processes (0 = one
-per CPU); the flow pass is whole-project and stays in the parent.
-Output is byte-identical for every N — diagnostics are merged per
-file and globally sorted, never emitted in completion order.
-
-``--baseline write FILE`` records the current findings; ``--baseline
-check FILE`` reports only new findings and fails on stale entries, so
-a future rule family can land warn-only and be ratcheted down.
-
-Results are cached under ``build/.lintcache`` (``--no-cache`` bypasses):
-per-file for the syntactic family, whole-project for the flow family.
-``--check-suppressions`` additionally reports stale
+One pass checks each file on its own against the per-file rules
+REP001–REP007; the flow rule REP101 then sees the whole run at once,
+through a cross-module call graph and interprocedural function
+summaries.  ``--check-suppressions`` additionally reports stale
 ``# reprolint: disable=...`` pragmas that no longer shield anything, as
-REP100 diagnostics (this mode disables the cache — usage accounting
-needs every rule to actually run).
+REP100 diagnostics.
 """
 
 from __future__ import annotations
@@ -38,19 +20,10 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.lint import rules as _rules  # noqa: F401  (populates REGISTRY)
-from repro.lint import flowrules as _flowrules  # noqa: F401  (REP101–REP104)
-from repro.lint import arrayrules as _arrayrules  # noqa: F401  (REP301+)
-from repro.lint import domains as _domains  # noqa: F401  (REP304/REP306)
-from repro.lint.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.cache import LintCache, project_key, source_sha
+from repro.lint import flowrules as _flowrules  # noqa: F401  (REP101)
 from repro.lint.callgraph import LintProject
 from repro.lint.diagnostics import (
     REGISTRY,
@@ -61,7 +34,6 @@ from repro.lint.diagnostics import (
     Severity,
     all_rules,
 )
-from repro.lint.parallel import check_files_parallel
 from repro.lint.sarif import render_sarif
 from repro.lint.suppress import SuppressionMap, parse_suppressions
 
@@ -95,56 +67,25 @@ class LintResult:
     #: rel_path -> that file's pragma map (with usage marks).
     suppressions: Dict[str, SuppressionMap] = field(default_factory=dict)
 
-    @property
-    def errors(self) -> List[Diagnostic]:
-        return [d for d in self.diagnostics
-                if d.severity is Severity.ERROR]
-
-
-def _split_rules(
-    selected: Iterable[Rule], flow: bool
-) -> Tuple[List[Rule], List[FlowRule]]:
-    syntactic: List[Rule] = []
-    flow_rules: List[FlowRule] = []
-    for rule in selected:
-        if isinstance(rule, FlowRule):
-            if flow:
-                flow_rules.append(rule)
-        else:
-            syntactic.append(rule)
-    return syntactic, flow_rules
-
-
-def _codes_key(rules: Sequence[Rule]) -> str:
-    return ",".join(sorted(r.code for r in rules))
-
 
 def lint_sources(
     sources: Dict[str, str],
     selected: Optional[Iterable[Rule]] = None,
-    flow: bool = True,
-    cache: Optional[LintCache] = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Lint a mapping of ``rel_path -> source``; the core engine.
 
-    Multi-file input is what gives the flow rules their cross-module
+    Multi-file input is what gives the flow rule its cross-module
     view; tests hand in small dict fixtures, :func:`lint_paths` hands
-    in the real tree.  ``jobs > 1`` fans the per-file syntactic rules
-    over worker processes; suppression accounting, caching and the
-    final sort stay in the parent, so the output is byte-identical to
-    a serial run.
+    in the real tree.  The per-file rules check each file on its own,
+    the flow rules the whole set at once; a diagnostic a pragma of its
+    file covers is dropped (and the pragma marked used).
     """
     chosen = list(all_rules() if selected is None else selected)
-    syntactic, flow_rules = _split_rules(chosen, flow)
+    per_file = [r for r in chosen if not isinstance(r, FlowRule)]
+    flow_rules = [r for r in chosen if isinstance(r, FlowRule)]
     result = LintResult(files_checked=len(sources))
-    file_key = _codes_key(syntactic)
-
     modules: List[LintModule] = []
-    pending: List[LintModule] = []
-    shas: Dict[str, str] = {}
     for rel_path, source in sources.items():
-        shas[rel_path] = source_sha(source)
         smap = parse_suppressions(source)
         result.suppressions[rel_path] = smap
         try:
@@ -163,67 +104,16 @@ def lint_sources(
             continue
         module = LintModule(rel_path=rel_path, source=source, tree=tree)
         modules.append(module)
-
-        cached = (
-            cache.get_file(rel_path, shas[rel_path], file_key)
-            if cache is not None else None
+        result.diagnostics.extend(
+            d for rule in per_file for d in rule.check(module)
+            if not smap.is_suppressed(d.code, d.line)
         )
-        if cached is not None:
-            result.diagnostics.extend(cached)
-            continue
-        pending.append(module)
-
-    if pending:
-        if jobs != 1 and len(pending) > 1:
-            raw = check_files_parallel(
-                [(m.rel_path, m.source) for m in pending],
-                [rule.code for rule in syntactic],
-                jobs,
-            )
-        else:
-            raw = {
-                m.rel_path: [d for rule in syntactic
-                             for d in rule.check(m)]
-                for m in pending
-            }
-        for module in pending:
-            smap = result.suppressions[module.rel_path]
-            file_diags = [
-                d for d in raw.get(module.rel_path, [])
-                if not smap.is_suppressed(d.code, d.line)
-            ]
-            if cache is not None:
-                cache.put_file(
-                    module.rel_path, shas[module.rel_path], file_key,
-                    file_diags,
-                )
-            result.diagnostics.extend(file_diags)
-
     if flow_rules and modules:
-        flow_key = project_key(shas)
-        flow_codes = _codes_key(flow_rules)
-        cached_flow = (
-            cache.get_flow(flow_key, flow_codes)
-            if cache is not None else None
+        project = LintProject(modules)
+        result.diagnostics.extend(
+            d for rule in flow_rules for d in rule.check_project(project)
+            if not result.suppressions[d.path].is_suppressed(d.code, d.line)
         )
-        if cached_flow is not None:
-            result.diagnostics.extend(cached_flow)
-        else:
-            project = LintProject(modules)
-            flow_diags: List[Diagnostic] = []
-            for rule in flow_rules:
-                for diag in rule.check_project(project):
-                    smap = result.suppressions.get(diag.path)
-                    if smap is not None and smap.is_suppressed(
-                            diag.code, diag.line):
-                        continue
-                    flow_diags.append(diag)
-            if cache is not None:
-                cache.put_flow(flow_key, flow_codes, flow_diags)
-            result.diagnostics.extend(flow_diags)
-
-    if cache is not None:
-        cache.save()
     result.diagnostics.sort()
     return result
 
@@ -232,40 +122,28 @@ def lint_source(
     source: str,
     rel_path: str = "<string>",
     selected: Optional[Iterable[Rule]] = None,
-    flow: bool = False,
 ) -> List[Diagnostic]:
-    """Lint one source string (flow rules opt-in for single files)."""
-    return lint_sources(
-        {rel_path: source}, selected=selected, flow=flow
-    ).diagnostics
+    """Lint one source string."""
+    return lint_sources({rel_path: source}, selected=selected).diagnostics
 
 
 def lint_paths(
     paths: Sequence[str],
     selected: Optional[Iterable[Rule]] = None,
-    flow: bool = True,
-    cache: Optional[LintCache] = None,
-    jobs: int = 1,
 ) -> List[Diagnostic]:
     """Lint every python file reachable from ``paths``."""
-    return lint_tree(
-        paths, selected, flow=flow, cache=cache, jobs=jobs
-    ).diagnostics
+    return lint_tree(paths, selected).diagnostics
 
 
 def lint_tree(
     paths: Sequence[str],
     selected: Optional[Iterable[Rule]] = None,
-    flow: bool = True,
-    cache: Optional[LintCache] = None,
-    jobs: int = 1,
 ) -> LintResult:
     """Like :func:`lint_paths`, returning the full :class:`LintResult`."""
     sources: Dict[str, str] = {}
     for path in iter_python_files(paths):
         sources[path.as_posix()] = path.read_text(encoding="utf-8")
-    return lint_sources(sources, selected, flow=flow, cache=cache,
-                        jobs=jobs)
+    return lint_sources(sources, selected)
 
 
 def unused_suppression_diagnostics(
@@ -348,43 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip",
     )
     parser.add_argument(
-        "--flow", dest="flow", action="store_true", default=True,
-        help="run the flow-sensitive rules REP101-REP306 (default)",
-    )
-    parser.add_argument(
-        "--no-flow", dest="flow", action="store_false",
-        help="skip the flow-sensitive rules",
-    )
-    parser.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help=(
-            "worker processes for the per-file syntactic pass "
-            "(0 = one per CPU, default 1); the flow pass is "
-            "whole-project and stays serial — output is byte-identical "
-            "for every N"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the incremental cache under build/.lintcache",
-    )
-    parser.add_argument(
-        "--cache-dir", metavar="DIR",
-        help="cache directory (default: build/.lintcache)",
-    )
-    parser.add_argument(
-        "--baseline", nargs=2, metavar=("MODE", "FILE"),
-        help=(
-            "baseline support: 'write FILE' records the current "
-            "findings as accepted; 'check FILE' reports only findings "
-            "not in the baseline, and fails on stale baseline entries"
-        ),
-    )
-    parser.add_argument(
         "--check-suppressions", action="store_true",
         help=(
             "also report stale '# reprolint: disable' pragmas that no "
-            "longer suppress anything (REP100; disables the cache)"
+            "longer suppress anything (REP100)"
         ),
     )
     parser.add_argument(
@@ -411,51 +256,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except KeyError as exc:
         print(f"unknown rule code(s): {exc.args[0]}", file=sys.stderr)
         return 2
-    baseline_failed = False
-    use_cache = not args.no_cache and not args.check_suppressions
-    cache = (
-        LintCache(Path(args.cache_dir) if args.cache_dir else None)
-        if use_cache else None
-    )
     try:
-        result = lint_tree(args.paths, selected, flow=args.flow,
-                           cache=cache, jobs=args.jobs)
+        result = lint_tree(args.paths, selected)
     except FileNotFoundError as exc:
         print(f"no such file or directory: {exc.args[0]}", file=sys.stderr)
         return 2
     diagnostics = result.diagnostics
     if args.check_suppressions:
-        ran_codes = [r.code for r in selected
-                     if args.flow or not isinstance(r, FlowRule)]
         diagnostics = sorted(
-            diagnostics + unused_suppression_diagnostics(result, ran_codes)
+            diagnostics + unused_suppression_diagnostics(
+                result, [r.code for r in selected])
         )
     n_files = result.files_checked
-    if args.baseline is not None:
-        mode, baseline_file = args.baseline
-        if mode not in ("write", "check"):
-            print(f"--baseline mode must be write|check, got '{mode}'",
-                  file=sys.stderr)
-            return 2
-        if mode == "write":
-            n_entries = write_baseline(diagnostics, Path(baseline_file))
-            print(f"baseline: recorded {len(diagnostics)} finding(s) "
-                  f"({n_entries} distinct) in {baseline_file}")
-            return 0
-        try:
-            entries = load_baseline(Path(baseline_file))
-        except BaselineError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        diagnostics, stale = apply_baseline(diagnostics, entries)
-        baseline_failed = bool(stale)
-        for key in stale:
-            print(f"stale baseline entry (no longer matches anything): "
-                  f"{key}", file=sys.stderr)
-        if stale:
-            print(f"{len(stale)} stale baseline entr(y/ies) in "
-                  f"{baseline_file}; re-run '--baseline write' after "
-                  "confirming the fixes", file=sys.stderr)
     if args.format == "json":
         print(json.dumps(
             {
@@ -477,4 +289,4 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         print(summary)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
-    return 1 if errors or baseline_failed else 0
+    return 1 if errors else 0

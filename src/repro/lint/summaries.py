@@ -1,20 +1,17 @@
-"""Interprocedural function summaries for the flow rules.
+"""Interprocedural function summaries for the flow rule REP101.
 
 The intra-procedural taint engine (:mod:`repro.lint.flow`) stops at
 call boundaries: ``lat = helper(...)`` is opaque unless something knows
 what ``helper`` does with and to its values.  This module computes one
 :class:`FunctionSummary` per statically-known function, bottom-up over
-the strongly connected components of the project call graph, so the
-flow rules can ask:
+the strongly connected components of the project call graph, so
+REP101 can ask:
 
 * **returns** — which taint dimensions the return value carries
-  (``latency``, ``rng``, ``wallclock``, ``monotonic``);
+  (``latency`` is the one dimension tracked);
 * **passthrough** — which positional parameters flow *unmodified* to a
   return (``def scaled(lat): return lat * 2``), so a caller's taint
-  token survives the call instead of being consumed by it;
-* **rng_sink_params** — which parameters reach a stochastic component
-  (directly or through further calls), the interprocedural half of
-  REP102.
+  token survives the call instead of being consumed by it.
 
 SCC order makes the analysis one pass for acyclic call graphs; inside a
 cycle the member summaries are iterated to a fixpoint (the dimensions
@@ -28,26 +25,15 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.callgraph import (
     FunctionInfo,
     LintProject,
     ModuleTable,
-    expand_dotted,
     local_imports,
 )
-from repro.lint.rules import DiscardedLatency, dotted_name, _identifier
+from repro.lint.rules import DiscardedLatency, _identifier
 
 # --------------------------------------------------------- call classing
 
@@ -61,25 +47,6 @@ _FILELIKE = DiscardedLatency._FILELIKE
 #: them as latency sources on receivers that look like memory devices.
 _AMBIGUOUS_METHODS = frozenset({"copy", "swap"})
 _PCM_RECEIVERS = ("array", "controller", "oracle", "pcm", "mem")
-
-#: Module-path components that mark a stochastic component (REP102).
-STOCHASTIC_PARTS = frozenset({"faults", "wearlevel", "attacks", "traffic"})
-
-_RNG_CONSTRUCTORS = frozenset({"default_rng", "RandomState", "Generator"})
-
-#: Host-clock reads by domain (REP104 flags both on latency paths).
-WALL_CLOCK_DOTTED = frozenset(
-    {"time.time", "time.time_ns",
-     "datetime.now", "datetime.utcnow", "datetime.today",
-     "datetime.datetime.now", "datetime.datetime.utcnow",
-     "datetime.datetime.today", "datetime.date.today", "date.today"}
-)
-MONOTONIC_DOTTED = frozenset(
-    {"time.monotonic", "time.monotonic_ns", "time.perf_counter",
-     "time.perf_counter_ns", "time.process_time",
-     "time.process_time_ns"}
-)
-
 
 def is_latency_method_call(call: ast.Call) -> bool:
     """Syntactic test: does this call return a latency by convention?"""
@@ -113,62 +80,6 @@ def shown_callable(call: ast.Call) -> str:
     return "<call>"
 
 
-def fresh_rng_desc(call: ast.Call) -> Optional[str]:
-    """Describe a generator constructed with no seed or a constant seed."""
-    dotted = dotted_name(call.func)
-    if dotted is None:
-        return None
-    leaf = dotted.split(".")[-1]
-    if leaf not in _RNG_CONSTRUCTORS:
-        return None
-    if leaf == "Generator" and not dotted.startswith(
-            ("np.random", "numpy.random")):
-        return None
-    args = list(call.args) + [kw.value for kw in call.keywords]
-    if args and not all(isinstance(a, ast.Constant) for a in args):
-        # Seeded from a variable (a threaded seed, derive_seed(...), a
-        # Generator): provenance flows from the caller — blessed.
-        return None
-    detail = "no seed" if not args else "hard-coded seed"
-    return f"{dotted}() [{detail}]"
-
-
-def classify_clock_call(
-    table: ModuleTable,
-    call: ast.Call,
-    extra: Optional[Dict[str, str]] = None,
-) -> Optional[str]:
-    """``"wallclock"`` / ``"monotonic"`` for host-clock reads, else None."""
-    dotted = dotted_name(call.func)
-    if dotted is None:
-        return None
-    for candidate in (dotted, expand_dotted(table, dotted, extra)):
-        if candidate in WALL_CLOCK_DOTTED:
-            return "wallclock"
-        if candidate in MONOTONIC_DOTTED:
-            return "monotonic"
-    return None
-
-
-def walk_own(fn: ast.AST, include_self: bool = False) -> Iterator[ast.AST]:
-    """Walk a function body without descending into nested defs/lambdas.
-
-    A nested function's body runs when *it* is called, not when the
-    enclosing function is — what happens inside it must not be
-    attributed to the outer frame.
-    """
-    if include_self:
-        yield fn
-    queue: List[ast.AST] = list(ast.iter_child_nodes(fn))
-    while queue:
-        node = queue.pop(0)
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        queue.extend(ast.iter_child_nodes(node))
-
-
 # ------------------------------------------------------------- summaries
 
 
@@ -177,19 +88,12 @@ class FunctionSummary:
     """Interprocedural facts about one statically-known function."""
 
     fq: str
-    #: Taint dimensions carried by the return value
-    #: (``latency`` / ``rng`` / ``wallclock`` / ``monotonic``).
+    #: Taint dimensions carried by the return value (``latency``).
     returns: FrozenSet[str]
     #: Positional parameter indices (including ``self`` at 0 for
     #: methods) that flow unmodified to a return expression and are
     #: used nowhere else.
     passthrough: FrozenSet[int]
-    #: Positional parameter indices that reach a stochastic component.
-    rng_sink_params: FrozenSet[int]
-
-
-_EMPTY: FrozenSet[str] = frozenset()
-_EMPTY_IDX: FrozenSet[int] = frozenset()
 
 
 def _positional_params(fn: ast.AST) -> List[str]:
@@ -313,7 +217,6 @@ class SummaryTable:
             fq=info.fq,
             returns=self._return_dims(info, table, extra),
             passthrough=self._passthrough_params(info),
-            rng_sink_params=self._rng_sinks(info, table, extra),
         )
 
     # -- returns -----------------------------------------------------
@@ -329,11 +232,6 @@ class SummaryTable:
         dims: Set[str] = set()
         if is_latency_method_call(call):
             dims.add("latency")
-        if fresh_rng_desc(call) is not None:
-            dims.add("rng")
-        clock = classify_clock_call(table, call, extra)
-        if clock is not None:
-            dims.add(clock)
         resolved = self.project.resolve_call(
             table, call, extra, info.class_name
         )
@@ -382,81 +280,6 @@ class SummaryTable:
                 through.add(idx)
         return frozenset(through)
 
-    # -- rng sinks ---------------------------------------------------
-
-    def _rng_sinks(
-        self,
-        info: FunctionInfo,
-        table: ModuleTable,
-        extra: Dict[str, str],
-    ) -> FrozenSet[int]:
-        params = _positional_params(info.node)
-        index_of = {name: i for i, name in enumerate(params)}
-        if not index_of:
-            return _EMPTY_IDX
-        sinks: Set[int] = set()
-        for call, resolved in self.project.iter_calls(info):
-            positions = self.rng_sink_positions(table, call, resolved, extra)
-            if positions is None:
-                continue
-            any_position = isinstance(positions, str)
-            position_set = (
-                positions if isinstance(positions, frozenset)
-                else frozenset()
-            )
-            offset = _callee_self_offset(resolved)
-            callee_params = (
-                _positional_params(resolved.node)
-                if resolved is not None else []
-            )
-            for i, arg in enumerate(call.args):
-                if not isinstance(arg, ast.Name) or arg.id not in index_of:
-                    continue
-                if any_position or (i + offset) in position_set:
-                    sinks.add(index_of[arg.id])
-            for kw in call.keywords:
-                if (not isinstance(kw.value, ast.Name)
-                        or kw.value.id not in index_of):
-                    continue
-                if any_position:
-                    sinks.add(index_of[kw.value.id])
-                elif kw.arg is not None and kw.arg in callee_params:
-                    if callee_params.index(kw.arg) in position_set:
-                        sinks.add(index_of[kw.value.id])
-        return frozenset(sinks)
-
-    def rng_sink_positions(
-        self,
-        table: ModuleTable,
-        call: ast.Call,
-        resolved: Optional[FunctionInfo],
-        extra: Dict[str, str],
-    ) -> Union[None, str, FrozenSet[int]]:
-        """Is this call an RNG sink — and on which callee params?
-
-        Returns ``None`` (not a sink), the string ``"any"`` (a call
-        into a stochastic module: every argument position counts), or a
-        frozenset of callee parameter indices (an interprocedural sink
-        through the callee's own summary).
-        """
-        if resolved is not None:
-            if set(resolved.modname.split(".")) & STOCHASTIC_PARTS:
-                return "any"
-            summary = self._summaries.get(resolved.fq)
-            if summary is not None and summary.rng_sink_params:
-                return summary.rng_sink_params
-            return None
-        dotted = dotted_name(call.func)
-        if dotted is None:
-            return None
-        expanded = expand_dotted(table, dotted, extra)
-        if expanded != dotted and set(expanded.split(".")) & STOCHASTIC_PARTS:
-            # Callee not in the linted tree: classify by the import path
-            # the name came from, so partial trees still check.
-            return "any"
-        return None
-
-
 def _is_pure_passthrough(fn: ast.AST, param: str) -> bool:
     """True when ``param`` (and its aliases) only flow to a return."""
     aliases: Set[str] = {param}
@@ -495,13 +318,6 @@ def _is_pure_passthrough(fn: ast.AST, param: str) -> bool:
         elif id(node) not in allowed_stores:
             return False
     return returned
-
-
-def _callee_self_offset(resolved: Optional[FunctionInfo]) -> int:
-    """Caller arg index -> callee param index shift (``self`` binding)."""
-    if resolved is not None and resolved.class_name is not None:
-        return 1
-    return 0
 
 
 def project_summaries(project: LintProject) -> SummaryTable:

@@ -27,7 +27,7 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
 
 _PRAGMA = re.compile(
     r"#\s*reprolint:\s*(?P<kind>disable(?:-file)?)\s*=\s*"
@@ -66,24 +66,6 @@ class SuppressionMap:
     """Which rule codes are suppressed where, for one source file."""
 
     entries: List[PragmaEntry] = field(default_factory=list)
-
-    @property
-    def by_line(self) -> Dict[int, Set[str]]:
-        """line -> codes disabled there (compat view over entries)."""
-        view: Dict[int, Set[str]] = {}
-        for entry in self.entries:
-            if entry.target is not None:
-                view.setdefault(entry.target, set()).update(entry.codes)
-        return view
-
-    @property
-    def file_wide(self) -> Set[str]:
-        """Codes disabled for the entire file (compat view)."""
-        wide: Set[str] = set()
-        for entry in self.entries:
-            if entry.target is None:
-                wide.update(entry.codes)
-        return wide
 
     def is_suppressed(self, code: str, line: int) -> bool:
         """True when ``code`` is disabled at ``line``; marks usage."""

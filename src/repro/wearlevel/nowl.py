@@ -72,7 +72,7 @@ class NoWearLeveling(WearLeveler):
             counts += base
             if rem:
                 start = spec.pos % self.n_lines
-                # reprolint: disable=REP302 rem < n_lines distinct offsets
+                # rem < n_lines offsets, so no index repeats
                 counts[(start + np.arange(rem)) % self.n_lines] += 1
         else:  # raa
             counts[spec.target] = writes

@@ -87,7 +87,6 @@ class TestRunnerConfig:
             {"workers": 0},
             {"retries": -1},
             {"timeout_s": 0.0},
-            {"max_inflight": 0},
             {"max_tasks": -1},
         ],
     )
@@ -235,7 +234,7 @@ class TestFailureHandling:
         ]
         records = run_collect(
             keys,
-            RunnerConfig(workers=2, max_inflight=4, timeout_s=0.75, retries=0),
+            RunnerConfig(workers=2, timeout_s=0.75, retries=0),
         )
         assert all(r.ok for r in records), [r.error for r in records]
 

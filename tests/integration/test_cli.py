@@ -192,6 +192,35 @@ class TestTrace:
         assert "no such trace file" in capsys.readouterr().err
 
 
+class TestRefusedDeviceValues:
+    """A value the device config or the scheme refuses is one ``error:``
+    line and exit 2, not a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "--scheme", "rbsg", "--trace", "uniform", "--lines", "64",
+          "--endurance", "0"], "endurance must be positive"),
+        (["trace", "--scheme", "rbsg", "--trace", "sequential",
+          "--lines", "64", "--interval", "0"], "remap_interval must be >= 1"),
+        (["simulate", "--scheme", "rbsg", "--attack", "raa", "--lines", "0"],
+         "n_lines must be a power of two, got 0"),
+    ], ids=["endurance", "interval", "lines"])
+    def test_error_line_and_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_fault_rate_refused_before_any_task_runs(self, capsys,
+                                                      monkeypatch):
+        import repro.campaign
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(repro.campaign, "run_collect", no_run)
+        assert main(["faults", "--rates", "2.0", "--lines", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "error: verify_fail_base must be in [0, 1)\n")
+
+
 class TestTraceConvertInfo:
     def test_convert_then_info(self, tmp_path, capsys):
         out = tmp_path / "t.rbt"

@@ -24,12 +24,7 @@ STRICT_MODULES = [
     "repro/wearlevel/base.py",
     "repro/lint/__init__.py",
     "repro/lint/__main__.py",
-    "repro/lint/arrayabs.py",
-    "repro/lint/arrayrules.py",
-    "repro/lint/baseline.py",
     "repro/lint/diagnostics.py",
-    "repro/lint/domains.py",
-    "repro/lint/parallel.py",
     "repro/lint/rules.py",
     "repro/lint/runner.py",
     "repro/lint/summaries.py",

@@ -1,22 +1,9 @@
-"""Symbol-table / call-graph tests, including the static-vs-runtime
-comparison of the campaign task registry."""
+"""Symbol-table / call-graph tests."""
 
 import ast
-from pathlib import Path
 
-from repro.campaign import registered_tasks
-from repro.lint.callgraph import (
-    LintProject,
-    StateKind,
-    build_table,
-    classify_value,
-    find_task_registrations,
-    module_name_for,
-)
+from repro.lint.callgraph import LintProject, build_table, module_name_for
 from repro.lint.diagnostics import LintModule
-from repro.lint.runner import iter_python_files
-
-REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def _module(rel_path, source):
@@ -45,30 +32,6 @@ class TestModuleNames:
         assert module_name_for("examples/demo.py") == "examples.demo"
 
 
-class TestClassify:
-    def _kind(self, expr):
-        return classify_value(ast.parse(expr, mode="eval").body)
-
-    def test_literals(self):
-        assert self._kind("[]") is StateKind.MUTABLE
-        assert self._kind("{}") is StateKind.MUTABLE
-        assert self._kind("{1}") is StateKind.MUTABLE
-
-    def test_constructors(self):
-        assert self._kind("dict()") is StateKind.MUTABLE
-        assert self._kind("collections.defaultdict(list)") is StateKind.MUTABLE
-
-    def test_rng(self):
-        assert self._kind("np.random.default_rng(0)") is StateKind.RNG
-
-    def test_file(self):
-        assert self._kind("open('x')") is StateKind.FILE
-
-    def test_benign(self):
-        assert self._kind("3") is StateKind.OTHER
-        assert self._kind("(1, 2)") is StateKind.OTHER
-
-
 class TestSymbolTable:
     SRC = (
         "import numpy as np\n"
@@ -88,12 +51,10 @@ class TestSymbolTable:
         assert table.functions["Thing.method"].class_name == "Thing"
         assert table.functions["helper"].fq == "repro.demo.helper"
 
-    def test_imports_and_state(self):
+    def test_import_aliases(self):
         table = build_table(_module("src/repro/demo.py", self.SRC))
         assert table.imports["np"] == "numpy"
         assert table.imports["derive_seed"] == "repro.util.rng.derive_seed"
-        assert table.state["_CACHE"].kind is StateKind.MUTABLE
-        assert table.state["LIMIT"].kind is StateKind.OTHER
 
 
 class TestResolution:
@@ -175,70 +136,3 @@ class TestResolution:
             callee is not None and callee.fq == "repro.b.helper"
             for _, callee in edges
         )
-
-
-class TestReachability:
-    def test_bfs_crosses_modules(self):
-        project = _project({
-            "src/repro/a.py": (
-                "from repro.b import mid\n"
-                "def root():\n"
-                "    return mid()\n"
-            ),
-            "src/repro/b.py": (
-                "from repro.c import leaf\n"
-                "def mid():\n"
-                "    return leaf()\n"
-            ),
-            "src/repro/c.py": "def leaf():\n    return 1\n",
-        })
-        root = project.tables["repro.a"].functions["root"]
-        reach = project.reachable([root])
-        assert set(reach) == {"repro.a.root", "repro.b.mid", "repro.c.leaf"}
-        info, path = reach["repro.c.leaf"]
-        assert path == ("repro.a.root", "repro.b.mid", "repro.c.leaf")
-
-
-class TestTaskRegistrations:
-    def test_fixture_registration_scan(self):
-        project = _project({
-            "src/repro/tasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "def run_x(spec):\n"
-                "    return {}\n"
-                "register_task_kind('x', run_x)\n"
-                "register_task_kind('y', lambda spec: {})\n"
-            ),
-        })
-        regs = list(find_task_registrations(project))
-        by_kind = {kind: target for _, _, kind, target in regs}
-        assert by_kind["x"].fq == "repro.tasks.run_x"
-        assert by_kind["y"] is None  # lambda: unresolvable target
-
-    def test_static_scan_matches_runtime_registry(self):
-        """Every kind the campaign registry knows at runtime must be
-        discoverable statically (REP103's roots would otherwise be
-        incomplete), and resolve to the same function names."""
-        modules = []
-        for path in iter_python_files([str(REPO_ROOT / "src" / "repro")]):
-            source = path.read_text(encoding="utf-8")
-            modules.append(
-                LintModule(rel_path=path.as_posix(), source=source,
-                           tree=ast.parse(source))
-            )
-        project = LintProject(modules)
-        static = {
-            kind: target
-            for _, _, kind, target in find_task_registrations(project)
-        }
-        # Other tests may have registered throwaway kinds in-process;
-        # only kinds implemented inside src/repro must be found.
-        runtime = {
-            kind: fn for kind, fn in registered_tasks().items()
-            if fn.__module__.startswith("repro.")
-        }
-        assert set(static) == set(runtime)
-        for kind, fn in runtime.items():
-            target = static[kind]
-            assert target is not None, f"kind {kind!r} did not resolve"
-            assert target.qualname == fn.__name__

@@ -129,28 +129,8 @@ class _MakeSpec(TaintSpec):
         return None
 
 
-class _BindSinkSpec(_MakeSpec):
-    def on_bind(self, name, tokens, node):
-        if name == "bad":
-            return f"{tokens[0].desc} bound to bad"
-        return None
-
-
-class _ArgSinkSpec(_MakeSpec):
-    def on_call_arg(self, call, tokens, node):
-        func = call.func
-        if isinstance(func, ast.Name) and func.id == "sink":
-            return "reached sink()"
-        return None
-
-
-class _BinopSinkSpec(_MakeSpec):
-    def on_binop(self, binop, tokens, other):
-        return "tainted arithmetic"
-
-
-def _analyze(source, spec=None):
-    return analyze_function(_first_function(source), spec or _MakeSpec())
+def _analyze(source):
+    return analyze_function(_first_function(source), _MakeSpec())
 
 
 class TestTaintEveryPath:
@@ -295,63 +275,6 @@ class TestTaintEveryPath:
             "    return g\n"
         )
         assert analysis.pending_at_exit == []
-
-
-class TestTaintSinks:
-    def test_on_bind_fires_once(self):
-        analysis = _analyze(
-            "def f():\n"
-            "    x = make()\n"
-            "    bad = x\n"
-            "    use(bad)\n",
-            _BindSinkSpec(),
-        )
-        assert [h.detail for h in analysis.sink_hits] == [
-            "make() bound to bad"
-        ]
-
-    def test_on_bind_in_loop_fires_once(self):
-        # The reporting sweep is a single deterministic pass: a sink in
-        # a loop body must not report once per fixpoint iteration.
-        analysis = _analyze(
-            "def f(n):\n"
-            "    for i in range(n):\n"
-            "        x = make()\n"
-            "        bad = x\n"
-            "        use(bad)\n",
-            _BindSinkSpec(),
-        )
-        assert len(analysis.sink_hits) == 1
-
-    def test_on_call_arg_fires(self):
-        analysis = _analyze(
-            "def f():\n"
-            "    x = make()\n"
-            "    sink(x)\n",
-            _ArgSinkSpec(),
-        )
-        assert [h.detail for h in analysis.sink_hits] == ["reached sink()"]
-
-    def test_on_call_arg_not_fired_for_other_calls(self):
-        analysis = _analyze(
-            "def f():\n"
-            "    x = make()\n"
-            "    other(x)\n",
-            _ArgSinkSpec(),
-        )
-        assert analysis.sink_hits == []
-
-    def test_on_binop_fires(self):
-        analysis = _analyze(
-            "def f(base):\n"
-            "    x = make()\n"
-            "    y = base + x\n"
-            "    return y\n",
-            _BinopSinkSpec(),
-        )
-        assert [h.detail for h in analysis.sink_hits] == [
-            "tainted arithmetic"
-        ]
 
 
 class TestIterFunctions:

@@ -1,20 +1,19 @@
-"""Positive/negative fixtures for the flow rules REP101-REP104.
+"""Positive/negative fixtures for the flow rule REP101.
 
-Each rule also gets a "regression" fixture seeded from the real finding
-(or real pattern) in the tree that motivated it.
+The rule also gets a "regression" fixture seeded from the real pattern
+in the tree that motivated it.
 """
 
 from repro.lint import REGISTRY, lint_source, lint_sources
 
 
 def _codes(source, code, rel_path="src/repro/demo.py"):
-    diags = lint_source(source, rel_path, selected=[REGISTRY[code]],
-                        flow=True)
+    diags = lint_source(source, rel_path, selected=[REGISTRY[code]])
     return [d.code for d in diags]
 
 
 def _diags(sources, code):
-    result = lint_sources(sources, selected=[REGISTRY[code]], flow=True)
+    result = lint_sources(sources, selected=[REGISTRY[code]])
     return result.diagnostics
 
 
@@ -160,250 +159,6 @@ class TestREP101LatencyTaint:
         assert _codes(fixed, "REP101") == []
 
 
-class TestREP102RngProvenance:
-    def test_fresh_generator_into_stochastic_flagged(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.pcm.faults import FaultModel\n"
-            "def g():\n"
-            "    rng = np.random.default_rng()\n"
-            "    return FaultModel(rng)\n"
-        )
-        assert _codes(src, "REP102") == ["REP102"]
-
-    def test_hard_coded_seed_flagged(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.pcm.faults import FaultModel\n"
-            "def g():\n"
-            "    rng = np.random.default_rng(1234)\n"
-            "    return FaultModel(rng)\n"
-        )
-        assert _codes(src, "REP102") == ["REP102"]
-
-    def test_threaded_seed_clean(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.pcm.faults import FaultModel\n"
-            "def g(seed):\n"
-            "    rng = np.random.default_rng(seed)\n"
-            "    return FaultModel(rng)\n"
-        )
-        assert _codes(src, "REP102") == []
-
-    def test_blessed_as_generator_clean(self):
-        src = (
-            "from repro.pcm.faults import FaultModel\n"
-            "from repro.util.rng import as_generator\n"
-            "def g(seed):\n"
-            "    rng = as_generator(seed)\n"
-            "    return FaultModel(rng)\n"
-        )
-        assert _codes(src, "REP102") == []
-
-    def test_non_stochastic_consumer_clean(self):
-        src = (
-            "import numpy as np\n"
-            "from repro.analysis.lifetime import summarize\n"
-            "def g():\n"
-            "    rng = np.random.default_rng()\n"
-            "    return summarize(rng)\n"
-        )
-        assert _codes(src, "REP102") == []
-
-    def test_regression_cross_module_resolution(self):
-        # The consumer is resolved through the project call graph, not
-        # just the import string: a locally defined fault-model wrapper
-        # living in a stochastic module is still a sink.
-        sources = {
-            "src/repro/faults/model.py": (
-                "class FaultModel:\n"
-                "    def __init__(self, rng):\n"
-                "        self.rng = rng\n"
-            ),
-            "src/repro/setup.py": (
-                "import numpy as np\n"
-                "from repro.faults.model import FaultModel\n"
-                "def build():\n"
-                "    rng = np.random.default_rng(7)\n"
-                "    return FaultModel(rng)\n"
-            ),
-        }
-        diags = _diags(sources, "REP102")
-        assert [d.code for d in diags] == ["REP102"]
-        assert diags[0].path == "src/repro/setup.py"
-
-
-class TestREP103CampaignDeterminism:
-    def test_task_mutating_module_state_flagged(self):
-        # The acceptance fixture: a registered task writes a module-level
-        # dict, making results depend on worker schedule.
-        sources = {
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "_CACHE = {}\n"
-                "def run_bad(spec):\n"
-                "    _CACHE[spec.name] = 1\n"
-                "    return {}\n"
-                "register_task_kind('bad', run_bad)\n"
-            ),
-        }
-        diags = _diags(sources, "REP103")
-        assert [d.code for d in diags] == ["REP103"]
-        assert "_CACHE" in diags[0].message
-        assert "'bad'" in diags[0].message
-
-    def test_task_reading_module_state_flagged(self):
-        sources = {
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "_CACHE = {}\n"
-                "def run_bad(spec):\n"
-                "    return _CACHE.get(spec.name)\n"
-                "register_task_kind('bad', run_bad)\n"
-            ),
-        }
-        assert [d.code for d in _diags(sources, "REP103")] == ["REP103"]
-
-    def test_module_level_rng_flagged(self):
-        sources = {
-            "src/repro/mytasks.py": (
-                "import numpy as np\n"
-                "from repro.campaign.tasks import register_task_kind\n"
-                "_RNG = np.random.default_rng(0)\n"
-                "def run_bad(spec):\n"
-                "    return float(_RNG.random())\n"
-                "register_task_kind('bad', run_bad)\n"
-            ),
-        }
-        diags = _diags(sources, "REP103")
-        assert [d.code for d in diags] == ["REP103"]
-        assert "_RNG" in diags[0].message
-
-    def test_global_rebinding_flagged(self):
-        sources = {
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "COUNT = 0\n"
-                "def run_bad(spec):\n"
-                "    global COUNT\n"
-                "    COUNT += 1\n"
-                "    return COUNT\n"
-                "register_task_kind('bad', run_bad)\n"
-            ),
-        }
-        assert "REP103" in [d.code for d in _diags(sources, "REP103")]
-
-    def test_lambda_registration_flagged(self):
-        sources = {
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "register_task_kind('bad', lambda spec: {})\n"
-            ),
-        }
-        diags = _diags(sources, "REP103")
-        assert [d.code for d in diags] == ["REP103"]
-        assert "module-level function" in diags[0].message
-
-    def test_constant_state_clean(self):
-        sources = {
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "LIMIT = 64\n"
-                "def run_ok(spec):\n"
-                "    return {'limit': LIMIT}\n"
-                "register_task_kind('ok', run_ok)\n"
-            ),
-        }
-        assert _diags(sources, "REP103") == []
-
-    def test_local_shadow_clean(self):
-        sources = {
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "_CACHE = {}\n"
-                "def run_ok(spec):\n"
-                "    _CACHE = {}\n"
-                "    _CACHE[spec.name] = 1\n"
-                "    return _CACHE\n"
-                "register_task_kind('ok', run_ok)\n"
-            ),
-        }
-        assert _diags(sources, "REP103") == []
-
-    def test_regression_state_behind_helper_module(self):
-        # The reach matters: the task itself is clean, the helper it
-        # calls two imports away touches shared mutable state.
-        sources = {
-            "src/repro/shared.py": "RESULTS = []\n",
-            "src/repro/helper.py": (
-                "from repro.shared import RESULTS\n"
-                "def record(value):\n"
-                "    RESULTS.append(value)\n"
-            ),
-            "src/repro/mytasks.py": (
-                "from repro.campaign.tasks import register_task_kind\n"
-                "from repro.helper import record\n"
-                "def run_bad(spec):\n"
-                "    record(spec.name)\n"
-                "    return {}\n"
-                "register_task_kind('bad', run_bad)\n"
-            ),
-        }
-        diags = _diags(sources, "REP103")
-        assert [d.code for d in diags] == ["REP103"]
-        assert "RESULTS" in diags[0].message
-
-
-class TestREP104WallClockTaint:
-    def test_wall_clock_into_latency_flagged(self):
-        src = (
-            "import time\n"
-            "def f(base_ns):\n"
-            "    t0 = time.perf_counter()\n"
-            "    latency_ns = base_ns + t0\n"
-            "    return latency_ns\n"
-        )
-        assert _codes(src, "REP104") == ["REP104"]
-
-    def test_wall_clock_bound_to_latency_name_flagged(self):
-        src = (
-            "import time\n"
-            "def f():\n"
-            "    write_latency = time.time()\n"
-            "    return write_latency\n"
-        )
-        assert _codes(src, "REP104") == ["REP104"]
-
-    def test_host_side_elapsed_clean(self):
-        # Measuring host wall time for throughput reporting is fine;
-        # only *simulated*-latency names are sinks.
-        src = (
-            "import time\n"
-            "def f(work):\n"
-            "    t0 = time.perf_counter()\n"
-            "    work()\n"
-            "    wall_seconds = time.perf_counter() - t0\n"
-            "    return wall_seconds\n"
-        )
-        assert _codes(src, "REP104") == []
-
-    def test_regression_perf_counter_alias_chain(self):
-        # The dangerous shape from early prototypes: a perf_counter
-        # delta laundered through an alias before landing in the
-        # simulated-latency accumulator.
-        src = (
-            "import time\n"
-            "def f(total_latency_ns):\n"
-            "    start = time.perf_counter()\n"
-            "    elapsed = time.perf_counter() - start\n"
-            "    wall = elapsed\n"
-            "    total_latency_ns += wall\n"
-            "    return total_latency_ns\n"
-        )
-        assert _codes(src, "REP104") == ["REP104"]
-
-
 class TestSuppression:
     def test_flow_diagnostic_suppressible_with_reason(self):
         src = (
@@ -420,7 +175,7 @@ class TestSuppression:
 
 
 class TestInterprocedural:
-    """Summary-aware REP101/REP102: taint crosses call boundaries."""
+    """Summary-aware REP101: taint crosses call boundaries."""
 
     _CROSS = (
         "def issue_write(ctrl):\n"
@@ -438,7 +193,7 @@ class TestInterprocedural:
         # The old intra-procedural pass could not see that
         # issue_write() returns a latency; the summaries can.
         diags = lint_source(self._CROSS, "src/repro/demo.py",
-                            selected=[REGISTRY["REP101"]], flow=True)
+                            selected=[REGISTRY["REP101"]])
         assert [d.code for d in diags] == ["REP101"]
         assert "returns latency" in diags[0].message
 

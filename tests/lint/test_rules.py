@@ -25,9 +25,7 @@ class TestREP001UnseededRandomness:
             import numpy as np
             x = np.random.rand(4)
         """)
-        # REP305 (nondeterministic-array) fires on the same legacy
-        # global-generator call by design.
-        assert [d.code for d in diags] == ["REP001", "REP305"]
+        assert [d.code for d in diags] == ["REP001"]
         assert diags[0].line == 2
 
     def test_unseeded_default_rng_flagged(self):
@@ -389,24 +387,20 @@ class TestSuppressionMachinery:
             x = np.random.rand()  # reprolint: disable=REP001
             y = np.random.rand()
         """)
-        # The pragma names REP001 only, so REP305 (which also fires on
-        # the legacy global generator) survives on line 2.
-        assert [(d.code, d.line) for d in diags] == [
-            ("REP305", 2), ("REP001", 3), ("REP305", 3),
-        ]
+        assert [(d.code, d.line) for d in diags] == [("REP001", 3)]
 
     def test_wrong_code_does_not_suppress(self):
         assert codes("""\
             import numpy as np
             x = np.random.rand()  # reprolint: disable=REP002
-        """) == ["REP001", "REP305"]
+        """) == ["REP001"]
 
     def test_hash_in_string_is_not_a_pragma(self):
         assert codes("""\
             import numpy as np
             note = "# reprolint: disable=REP001"
             x = np.random.rand()
-        """) == ["REP001", "REP305"]
+        """) == ["REP001"]
 
 
 class TestSyntaxErrorHandling:

@@ -16,12 +16,11 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 
 class TestRegistry:
-    def test_seventeen_rules_registered(self):
+    def test_eight_rules_registered(self):
         assert sorted(REGISTRY) == [
             "REP001", "REP002", "REP003", "REP004", "REP005", "REP006",
             "REP007",
-            "REP101", "REP102", "REP103", "REP104",
-            "REP301", "REP302", "REP303", "REP304", "REP305", "REP306",
+            "REP101",
         ]
 
     def test_flow_rules_are_flow_rules(self):
@@ -29,13 +28,7 @@ class TestRegistry:
 
         flow = {code for code, rule in REGISTRY.items()
                 if isinstance(rule, FlowRule)}
-        # REP305 (nondeterministic array construction) is deliberately
-        # syntactic so the per-file cache and the --jobs worker pool
-        # both cover it.
-        assert flow == {
-            "REP101", "REP102", "REP103", "REP104",
-            "REP301", "REP302", "REP303", "REP304", "REP306",
-        }
+        assert flow == {"REP101"}
 
     def test_every_rule_documented(self):
         for rule in all_rules():
@@ -74,7 +67,7 @@ class TestCLI:
             "    return np.random.rand()\n"
         )
         assert main([str(bad), "--select", "REP004"]) == 1
-        assert main([str(bad), "--ignore", "REP001,REP004,REP305"]) == 0
+        assert main([str(bad), "--ignore", "REP001,REP004"]) == 0
 
     def test_unknown_rule_code_is_usage_error(self, capsys):
         assert main([str(SRC_REPRO), "--select", "REP999"]) == 2
@@ -91,6 +84,57 @@ class TestCLI:
             assert code in out
 
 
+class TestRemovedOptions:
+    """The flow switch, parallel, cache and baseline options are gone;
+    each is now a usage error on both entry points."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--jobs", "2"],
+        ["--no-flow"],
+        ["--baseline", "write", "x"],
+    ])
+    @pytest.mark.parametrize("entry", ["repro.lint", "repro lint"])
+    def test_removed_option_is_usage_error(self, entry, argv, capsys):
+        from repro.cli import main as repro_main
+
+        with pytest.raises(SystemExit) as exc:
+            if entry == "repro.lint":
+                main([str(SRC_REPRO), *argv])
+            else:
+                repro_main(["lint", str(SRC_REPRO), *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestReproLintPassThrough:
+    """``repro lint`` hands its arguments to the linter's own parser, so it
+    prints exactly what ``python -m repro.lint`` prints."""
+
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", *argv],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env={"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": "/usr/bin:/bin"},
+        )
+
+    @pytest.mark.parametrize("args", [
+        ["--list-rules"],
+        ["--format", "json", "BAD"],
+    ])
+    def test_same_bytes_as_the_module_entry_point(self, tmp_path, args):
+        bad = tmp_path / "bad.py"
+        bad.write_text("import numpy as np\ndef f(a=[]):\n"
+                       "    return np.random.rand()\n")
+        args = [str(bad) if a == "BAD" else a for a in args]
+        direct = self._run("repro.lint", *args)
+        via_cli = self._run("repro", "lint", *args)
+        assert direct.stdout, direct.stderr
+        assert (via_cli.returncode, via_cli.stdout) == (
+            direct.returncode, direct.stdout)
+
+
 class TestRepoIsClean:
     """The acceptance gate: reprolint exits 0 on the shipped tree."""
 
@@ -100,16 +144,6 @@ class TestRepoIsClean:
 
     def test_examples_have_no_violations(self):
         diagnostics = lint_paths([str(REPO_ROOT / "examples")])
-        assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
-
-    def test_array_rule_family_clean_on_tree(self):
-        """REP301–REP306 run as part of the gate and stay clean."""
-        from repro.lint import REGISTRY
-
-        selected = [REGISTRY[code] for code in
-                    ("REP301", "REP302", "REP303", "REP304", "REP305",
-                     "REP306")]
-        diagnostics = lint_paths([str(SRC_REPRO)], selected=selected)
         assert diagnostics == [], "\n".join(d.render() for d in diagnostics)
 
     def test_module_entrypoint_runs(self):
@@ -124,6 +158,9 @@ class TestRepoIsClean:
 
 
 class TestFlowFlag:
+    """REP101 runs with every lint run; no flag turns it off (``--ignore
+    REP101`` does, like any other rule)."""
+
     _DROP = (
         "def f(ctrl, n):\n"
         "    total = 0\n"
@@ -137,12 +174,7 @@ class TestFlowFlag:
     def test_flow_on_by_default(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(self._DROP)
-        assert main([str(bad), "--no-cache"]) == 1
-
-    def test_no_flow_skips_flow_rules(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(self._DROP)
-        assert main([str(bad), "--no-flow", "--no-cache"]) == 0
+        assert main([str(bad)]) == 1
 
     def test_flow_diagnostics_respect_suppressions(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -152,64 +184,14 @@ class TestFlowFlag:
             "# reprolint: disable=REP101 -- odd probes only",
         )
         bad.write_text(src)
-        assert main([str(bad), "--no-cache"]) == 0
-
-
-class TestParallelJobs:
-    """--jobs N fans the per-file pass over worker processes; the
-    output contract is byte-identity with the serial path."""
-
-    def _tree(self, tmp_path):
-        for i in range(6):
-            mod = tmp_path / f"mod{i}.py"
-            mod.write_text(
-                "import numpy as np\n"
-                f"x{i} = np.random.rand()\n"
-                "def f(a=[]):\n"
-                "    return a\n"
-            )
-        return tmp_path
-
-    def test_jobs_output_byte_identical(self, tmp_path, capsys):
-        tree = self._tree(tmp_path)
-        assert main([str(tree), "--no-cache", "--jobs", "1"]) == 1
-        serial = capsys.readouterr().out
-        assert main([str(tree), "--no-cache", "--jobs", "4"]) == 1
-        assert capsys.readouterr().out == serial
-
-    def test_jobs_zero_means_cpu_count(self):
-        from repro.lint.parallel import resolve_jobs
-
-        assert resolve_jobs(0) >= 1
-        assert resolve_jobs(3) == 3
-
-    def test_jobs_respect_suppressions(self, tmp_path, capsys):
-        mod = tmp_path / "mod.py"
-        mod.write_text(
-            "import numpy as np\n"
-            "x = np.random.rand()  # reprolint: disable=REP001 -- fixture\n"
-        )
-        assert main([str(mod), str(self._tree(tmp_path)), "--no-cache",
-                     "--jobs", "2", "--check-suppressions"]) == 1
-        out = capsys.readouterr().out
-        assert "REP100" not in out  # the pragma is used, not stale
-
-    def test_jobs_fill_the_cache_like_serial(self, tmp_path, capsys):
-        tree = self._tree(tmp_path)
-        cache_dir = tmp_path / "cache"
-        assert main([str(tree), "--cache-dir", str(cache_dir),
-                     "--jobs", "4"]) == 1
-        warm_parallel = capsys.readouterr().out
-        assert main([str(tree), "--cache-dir", str(cache_dir),
-                     "--jobs", "1"]) == 1
-        assert capsys.readouterr().out == warm_parallel
+        assert main([str(bad)]) == 0
 
 
 class TestSarifFormat:
     def test_sarif_document_shape(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("def f(a=[]):\n    return a\n")
-        assert main([str(bad), "--format", "sarif", "--no-cache"]) == 1
+        assert main([str(bad), "--format", "sarif"]) == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"
         [run] = doc["runs"]
@@ -224,42 +206,10 @@ class TestSarifFormat:
     def test_sarif_is_byte_stable(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("import numpy as np\nx = np.random.rand()\n")
-        main([str(bad), "--format", "sarif", "--no-cache"])
+        main([str(bad), "--format", "sarif"])
         first = capsys.readouterr().out
-        main([str(bad), "--format", "sarif", "--no-cache"])
+        main([str(bad), "--format", "sarif"])
         assert capsys.readouterr().out == first
-
-
-class TestCache:
-    def test_cache_round_trip_same_diagnostics(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text("import numpy as np\nx = np.random.rand()\n")
-        cache_dir = tmp_path / "cache"
-        argv = [str(bad), "--cache-dir", str(cache_dir)]
-        assert main(argv) == 1
-        cold = capsys.readouterr().out
-        assert (cache_dir / "reprolint.json").exists()
-        assert main(argv) == 1
-        assert capsys.readouterr().out == cold
-
-    def test_edit_invalidates_file_entry(self, tmp_path, capsys):
-        target = tmp_path / "mod.py"
-        target.write_text("x = 1\n")
-        cache_dir = tmp_path / "cache"
-        argv = [str(target), "--cache-dir", str(cache_dir)]
-        assert main(argv) == 0
-        capsys.readouterr()
-        target.write_text("import numpy as np\nx = np.random.rand()\n")
-        assert main(argv) == 1
-        assert "REP001" in capsys.readouterr().out
-
-    def test_corrupt_cache_is_ignored(self, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text("def f(a=[]):\n    return a\n")
-        cache_dir = tmp_path / "cache"
-        cache_dir.mkdir()
-        (cache_dir / "reprolint.json").write_text("{not json")
-        assert main([str(bad), "--cache-dir", str(cache_dir)]) == 1
 
 
 class TestCheckSuppressions:
@@ -277,7 +227,7 @@ class TestCheckSuppressions:
         mod.write_text(
             "import numpy as np\n"
             "x = np.random.rand()"
-            "  # reprolint: disable=REP001,REP305 -- fixture\n"
+            "  # reprolint: disable=REP001 -- fixture\n"
         )
         assert main([str(mod), "--check-suppressions"]) == 0
 

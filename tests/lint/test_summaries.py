@@ -1,20 +1,15 @@
 """Unit tests for the interprocedural summary table.
 
-Covers the properties the flow rules lean on: return-dimension
-propagation through helpers, passthrough purity, RNG sink positions,
-and termination/stability on recursive call graphs (self-loops and
-multi-member SCCs).
+Covers the properties REP101 leans on: return-dimension propagation
+through helpers, passthrough purity, and termination/stability on
+recursive call graphs (self-loops and multi-member SCCs).
 """
 
 import ast
 
 from repro.lint.callgraph import LintProject
 from repro.lint.diagnostics import LintModule
-from repro.lint.summaries import (
-    SummaryTable,
-    project_summaries,
-    walk_own,
-)
+from repro.lint.summaries import SummaryTable, project_summaries
 
 
 def _project(sources):
@@ -68,29 +63,6 @@ class TestReturnDims:
         })
         assert "latency" in table.get("repro.b.outer").returns
 
-    def test_clock_domains_tracked_separately(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import time\n"
-                "def wall_now():\n"
-                "    return time.time()\n"
-                "def mono_now():\n"
-                "    return time.monotonic()\n"
-            ),
-        })
-        assert table.get("repro.a.wall_now").returns == {"wallclock"}
-        assert table.get("repro.a.mono_now").returns == {"monotonic"}
-
-    def test_rng_constructor_return(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "import numpy as np\n"
-                "def make_rng():\n"
-                "    return np.random.default_rng()\n"
-            ),
-        })
-        assert "rng" in table.get("repro.a.make_rng").returns
-
     def test_builtin_boundary_contributes_nothing(self):
         table = _summaries({
             "src/repro/a.py": (
@@ -100,17 +72,6 @@ class TestReturnDims:
         })
         summary = table.get("repro.a.size")
         assert summary.returns == frozenset()
-
-    def test_plain_function_is_clean(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "def add(a, b):\n"
-                "    return a + b\n"
-            ),
-        })
-        summary = table.get("repro.a.add")
-        assert summary.returns == frozenset()
-        assert summary.rng_sink_params == frozenset()
 
 
 class TestPassthrough:
@@ -163,101 +124,17 @@ class TestPassthrough:
         assert table.get("repro.a.C.get").passthrough == frozenset()
 
 
-class TestRngSinks:
-    def test_param_into_stochastic_module(self):
-        table = _summaries({
-            "src/repro/faults/inject.py": (
-                "def inject(array, rng):\n"
-                "    pass\n"
-            ),
-            "src/repro/b.py": (
-                "from repro.faults.inject import inject\n"
-                "def run(array, rng):\n"
-                "    inject(array, rng)\n"
-            ),
-        })
-        summary = table.get("repro.b.run")
-        assert summary.rng_sink_params == {0, 1}
-
-    def test_transitive_sink_position(self):
-        table = _summaries({
-            "src/repro/faults/inject.py": (
-                "def inject(array, rng):\n"
-                "    pass\n"
-            ),
-            "src/repro/b.py": (
-                "from repro.faults.inject import inject\n"
-                "def run(array, rng):\n"
-                "    inject(array, rng)\n"
-            ),
-            "src/repro/c.py": (
-                "from repro.b import run\n"
-                "def top(generator, arr):\n"
-                "    run(arr, generator)\n"
-            ),
-        })
-        # top's param 0 (generator) lands in run's position 1, a sink.
-        summary = table.get("repro.c.top")
-        assert summary.rng_sink_params == {0, 1}
-
-    def test_keyword_argument_mapped_to_position(self):
-        table = _summaries({
-            "src/repro/faults/inject.py": (
-                "def inject(array, rng):\n"
-                "    pass\n"
-            ),
-            "src/repro/b.py": (
-                "from repro.faults.inject import inject\n"
-                "def run(array, rng):\n"
-                "    inject([], rng)\n"
-            ),
-            "src/repro/c.py": (
-                "from repro.b import run\n"
-                "def top(arr, generator):\n"
-                "    run(arr, rng=generator)\n"
-            ),
-        })
-        assert table.get("repro.b.run").rng_sink_params == {1}
-        # `rng=generator` maps back to run's position 1, a known sink;
-        # `arr` lands at position 0, which is not.
-        assert table.get("repro.c.top").rng_sink_params == {1}
-
-    def test_import_alias_fallback_marks_stochastic_call(self):
-        # Callee outside the linted tree: classification falls back to
-        # the import path the name expands to.
-        table = _summaries({
-            "src/repro/a.py": (
-                "import repro.faults.inject as fi\n"
-                "def sink(array, rng):\n"
-                "    fi.corrupt(rng)\n"
-            ),
-        })
-        assert table.get("repro.a.sink").rng_sink_params == {1}
-
-    def test_non_stochastic_callee_is_not_a_sink(self):
-        table = _summaries({
-            "src/repro/a.py": (
-                "def helper(rng):\n"
-                "    pass\n"
-                "def run(rng):\n"
-                "    helper(rng)\n"
-            ),
-        })
-        assert table.get("repro.a.run").rng_sink_params == frozenset()
-
-
 class TestCycles:
     def test_self_recursion_terminates(self):
         table = _summaries({
             "src/repro/a.py": (
-                "import time\n"
-                "def retry(n):\n"
+                "def retry(ctrl, n):\n"
                 "    if n:\n"
-                "        return retry(n - 1)\n"
-                "    return time.monotonic()\n"
+                "        return retry(ctrl, n - 1)\n"
+                "    return ctrl.write(0, b'x')\n"
             ),
         })
-        assert table.get("repro.a.retry").returns == frozenset({"monotonic"})
+        assert table.get("repro.a.retry").returns == frozenset({"latency"})
 
     def test_mutual_recursion_return_dims_converge(self):
         table = _summaries({
@@ -282,25 +159,3 @@ class TestProjectMemoisation:
             "src/repro/a.py": "def f():\n    return 1\n",
         })
         assert project_summaries(project) is project_summaries(project)
-
-
-class TestWalkOwn:
-    def test_skips_nested_function_bodies(self):
-        fn = ast.parse(
-            "def outer():\n"
-            "    x = 1\n"
-            "    def inner():\n"
-            "        y = 2\n"
-            "    return x\n"
-        ).body[0]
-        names = {n.id for n in walk_own(fn) if isinstance(n, ast.Name)}
-        assert "x" in names and "y" not in names
-
-    def test_skips_lambda_bodies(self):
-        fn = ast.parse(
-            "def outer():\n"
-            "    f = lambda: hidden()\n"
-            "    return f\n"
-        ).body[0]
-        calls = [n for n in walk_own(fn) if isinstance(n, ast.Call)]
-        assert calls == []

@@ -91,11 +91,10 @@ campaign-smoke:
 		--format csv --output build/campaign-smoke/report.csv
 	@test -s build/campaign-smoke/report.csv && echo "campaign-smoke: OK"
 
-# Traffic-layer proof: convert the bundled MSR-style CSV to .rbt (bytes
+# Real-trace proof: convert the bundled MSR-style CSV to .rbt (bytes
 # must match the committed fixture), replay it chunked == entry-wise on
-# Security RBSG, drive a 1000-tenant mixed population to a lifetime
-# JSON, and require the tenant-lifetime example grid byte-identical
-# serial vs --workers 2.  See the script.
+# Security RBSG, and require the Fig. 14 example grid (8 simulate tasks)
+# byte-identical serial vs --workers 2.  See the script.
 trace-smoke:
 	PYTHONPATH=src python scripts/trace_smoke.py
 

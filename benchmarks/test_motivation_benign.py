@@ -12,9 +12,9 @@ from _bench_util import print_table
 
 from repro.config import PCMConfig
 from repro.core.security_rbsg import SecurityRBSG
-from repro.sim.engine import run_trace
+from repro.sim.engine import run_trace_fast
 from repro.sim.memory_system import MemoryController
-from repro.sim.trace import zipf_trace
+from repro.sim.trace import zipf_chunks
 from repro.wearlevel.nowl import NoWearLeveling
 from repro.wearlevel.startgap import StartGap
 from repro.wearlevel.two_level_sr import TwoLevelSecurityRefresh
@@ -27,8 +27,8 @@ BUDGET = 30_000_000
 def lifetime_under_zipf(scheme) -> float:
     config = PCMConfig(n_lines=N_LINES, endurance=ENDURANCE)
     controller = MemoryController(scheme, config)
-    result = run_trace(
-        controller, zipf_trace(N_LINES, alpha=1.2, rng=7), max_writes=BUDGET
+    result = run_trace_fast(
+        controller, zipf_chunks(N_LINES, alpha=1.2, rng=7), max_writes=BUDGET
     )
     return result.user_writes if result.failed else float(BUDGET)
 

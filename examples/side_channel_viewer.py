@@ -1,11 +1,12 @@
 #!/usr/bin/env python
 """Watch the side channel: record and render write latencies.
 
-Runs the same hammering stream against RBSG and Security RBSG, recording
-every observed latency with `repro.sim.timeline.LatencyRecorder`, and
-renders what a timing attacker sees: the latency histogram (the Fig. 4
-classes) and a timeline strip.  Also dumps the attack trace to an ``.npz``
-via `repro.sim.tracefile` and reads its summary back.
+Runs the same hammering stream against RBSG and Security RBSG as one
+`MemoryController.write_chunk` call, whose ``out=`` array receives every
+write's observed latency, and renders what a timing attacker sees: the
+latency histogram (the Fig. 4 classes) and a timeline strip.  Also saves
+the attack trace as an ``.rbt`` file and summarises it read back from
+disk.
 
 Run:  python examples/side_channel_viewer.py
 """
@@ -13,48 +14,46 @@ Run:  python examples/side_channel_viewer.py
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from repro import ALL0, ALL1, MemoryController, PCMConfig, SecurityRBSG
-from repro.sim.timeline import LatencyRecorder
-from repro.sim.trace import TraceEntry
-from repro.sim.tracefile import save_trace, summarize_trace
+from repro.traffic import read_rbt_chunks, write_rbt
 from repro.util.ascii_plot import bar_chart, sparkline
 from repro.wearlevel import RegionBasedStartGap
 
 N_LINES = 2**9
 config = PCMConfig(n_lines=N_LINES, endurance=1e12)
 
+# The RTA prologue: zero everything, then hammer one ALL-1 line.
+LAS = np.concatenate([np.arange(N_LINES), np.full(2000, 5)])
+DATAS = np.concatenate([
+    np.full(N_LINES, int(ALL0), dtype=np.int8),
+    np.full(2000, int(ALL1), dtype=np.int8),
+])
+
 
 def observe(name, scheme):
-    recorder = LatencyRecorder(MemoryController(scheme, config))
-    # The RTA prologue: zero everything, then hammer one ALL-1 line.
-    for la in range(N_LINES):
-        _ = recorder.write(la, ALL0)  # recorder keeps the histogram
-    for _ in range(2000):
-        _ = recorder.write(5, ALL1)
+    latencies = np.empty(LAS.size)  # out= receives each write's latency
+    _ = MemoryController(scheme, config).write_chunk(LAS, DATAS, out=latencies)
     print(f"\n--- {name} ---")
-    histogram = recorder.histogram().as_dict()
-    labels, values = [], []
-    for latency, count in sorted(histogram.items()):
-        labels.append(f"{latency:7.0f} ns")
-        values.append(count)
-    print(bar_chart(labels, values, width=40))
-    window = recorder.latencies[-120:]
-    print(f"last 120 writes: {sparkline(window)}")
+    values, counts = np.unique(latencies, return_counts=True)
+    labels = [f"{latency:7.0f} ns" for latency in values]
+    print(bar_chart(labels, counts.tolist(), width=40))
+    print(f"last 120 writes: {sparkline(latencies[-120:])}")
     extra_classes = {
-        latency - 1000.0
-        for latency in histogram
+        float(latency) - 1000.0
+        for latency in values
         if latency > 1000.0
     }
     print(f"remap latency classes observed on the hammered line: "
           f"{sorted(extra_classes)}")
-    return recorder
 
 
-rbsg = observe(
+observe(
     "RBSG (static randomizer: the 1125 ns spikes track ONE line forever)",
     RegionBasedStartGap(N_LINES, n_regions=8, remap_interval=8, rng=7),
 )
-srbsg = observe(
+observe(
     "Security RBSG (DFN re-keys each round: spikes carry no stable address "
     "information)",
     SecurityRBSG(N_LINES, n_subregions=8, inner_interval=8,
@@ -63,10 +62,12 @@ srbsg = observe(
 
 # Persist the attack stream and summarise it from disk.
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "rta_prologue.npz"
-    entries = [TraceEntry(int(la), ALL1) for la in rbsg.las[:2000]]
-    save_trace(path, entries, metadata={"phase": "rta-prologue"})
-    summary = summarize_trace(path)
-    print(f"\nsaved trace: {summary.n_writes} writes, "
-          f"{summary.n_distinct} distinct addresses, hottest LA "
-          f"{summary.hottest_la} at {summary.hottest_share:.0%} share")
+    path = Path(tmp) / "rta_prologue.rbt"
+    write_rbt(path, [(LAS[:2000], DATAS[:2000])],
+              metadata={"phase": "rta-prologue"})
+    las = np.concatenate([chunk for chunk, _ in read_rbt_chunks(path)])
+    values, counts = np.unique(las, return_counts=True)
+    hottest = int(np.argmax(counts))
+    print(f"\nsaved trace: {las.size} writes, "
+          f"{values.size} distinct addresses, hottest LA "
+          f"{values[hottest]} at {counts[hottest] / las.size:.0%} share")

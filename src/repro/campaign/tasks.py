@@ -2,7 +2,7 @@
 
 A *task function* maps ``(params, seed) -> JSON-able result dict``.  It
 runs inside worker processes, so it must be a module-level function and
-both its inputs and outputs must survive pickling/JSON.  Six kinds
+both its inputs and outputs must survive pickling/JSON.  Five kinds
 ship with the library:
 
 * ``lifetime`` — closed-form paper-scale lifetime of a (scheme, attack)
@@ -19,9 +19,6 @@ ship with the library:
   write overhead rather than closed-form.
 * ``lifetime-ff`` — paper-scale measured lifetime of one (scheme,
   trace) point on the analytic fast-forward tier.
-* ``tenant-lifetime`` — drive one scheme with multi-tenant mixed
-  traffic (:class:`repro.traffic.TenantMixer`): a grid point over
-  tenant count × skew × churn, measured on the batched engine.
 * ``faults``   — one seeded fault-injection campaign
   (:func:`repro.analysis.resilience.run_fault_campaign`); the PR-1
   sweep, gridded.
@@ -316,6 +313,8 @@ def run_simulate_task(
     n_lines = _int(params, "lines", 512)
     endurance = _float(params, "endurance", 2e4)
     budget = _int(params, "budget", 50_000_000)
+    if budget < 0:
+        raise TaskError(f"budget must be >= 0, got {budget}")
     target = _int(params, "target", 5)
 
     config = _pcm_config(n_lines=n_lines, endurance=endurance)
@@ -373,6 +372,7 @@ def run_trace_lifetime_task(
     from repro.sim.engine import run_trace, run_trace_fast
     from repro.sim.memory_system import MemoryController
     from repro.traffic.adapter import open_trace_chunks, open_trace_entries
+    from repro.traffic.errors import TraceFileError
 
     _check_params("trace-lifetime", params, (
         "scheme", "trace", "trace_file", "line_bytes", "window_start",
@@ -389,21 +389,26 @@ def run_trace_lifetime_task(
     max_writes = _max_writes(params, 10_000_000)
     fast = bool(params.get("fast", True))
 
+    config = _pcm_config(n_lines=n_lines, endurance=endurance)
     # One spec feeds either engine: its chunks and its entries draw the
     # identical RNG stream, so the engine choice cannot change the trace.
     trace: Any
     if trace_file is not None:
         opener = open_trace_chunks if fast else open_trace_entries
-        trace = opener(
-            str(trace_file),
-            n_lines=n_lines,
-            line_bytes=_int(params, "line_bytes", 64),
-            window_start=_int(params, "window_start", 0),
-            window_mode=str(params.get("window_mode", "wrap")),
-        )
+        try:
+            trace = opener(
+                str(trace_file),
+                n_lines=n_lines,
+                line_bytes=_int(params, "line_bytes", 64),
+                window_start=_int(params, "window_start", 0),
+                window_mode=str(params.get("window_mode", "wrap")),
+            )
+        except TraceFileError:
+            raise
+        except ValueError as exc:  # a refused window or line size
+            raise TaskError(str(exc)) from None
     else:
         trace = _trace_spec(params, trace_name, n_lines, seed, batch=4096)
-    config = _pcm_config(n_lines=n_lines, endurance=endurance)
     scheme = build_scheme(scheme_name, n_lines, seed, params)
     controller = MemoryController(scheme, config)
     driver = run_trace_fast if fast else run_trace
@@ -480,78 +485,6 @@ def run_lifetime_ff_task(
     }
 
 
-# ------------------------------------------------------ tenant lifetime
-
-
-def run_tenant_lifetime_task(
-    params: Mapping[str, Scalar], seed: int
-) -> Dict[str, object]:
-    """Measured lifetime of one (scheme, tenant population) grid point.
-
-    Builds a :class:`repro.traffic.TenantMixer` — from a spec file when
-    the ``profile`` parameter names one, otherwise the standard mixed
-    population (:func:`repro.traffic.mixed_spec`) over the ``tenants``
-    / ``alpha`` / ``churn_*`` knobs — and drives the simulator to
-    failure or budget.  All tenant randomness descends from the task
-    seed through ``derive_seed`` child streams, so results are
-    schedule-independent: serial and parallel campaign runs are
-    byte-identical.
-    """
-    from repro.pcm.stats import WearStats
-    from repro.sim.engine import run_trace, run_trace_fast
-    from repro.sim.memory_system import MemoryController
-    from repro.traffic.profiles import load_traffic_spec, mixed_spec
-
-    _check_params("tenant-lifetime", params, (
-        "scheme", "lines", "endurance", "max_writes", "fast", "profile",
-        "tenants", "alpha", "churn_interval", "churn_fraction",
-        "churn_boost", "schedule_interval", *SCHEME_PARAMS,
-    ))
-    scheme_name = _str(params, "scheme")
-    n_lines = _int(params, "lines", 4096)
-    endurance = _float(params, "endurance", 1e4)
-    max_writes = _int(params, "max_writes", 10_000_000)
-    fast = bool(params.get("fast", True))
-
-    profile = params.get("profile")
-    if profile is not None:
-        spec = load_traffic_spec(str(profile))
-    else:
-        spec = mixed_spec(
-            _int(params, "tenants", 1000),
-            alpha=_float(params, "alpha", 1.2),
-            churn_interval=_int(params, "churn_interval", 0),
-            churn_fraction=_float(params, "churn_fraction", 0.02),
-            churn_boost=_float(params, "churn_boost", 8.0),
-            schedule_interval=_int(params, "schedule_interval", 8192),
-        )
-    mixer = spec.build_mixer(n_lines, seed)
-
-    config = _pcm_config(n_lines=n_lines, endurance=endurance)
-    scheme = build_scheme(scheme_name, n_lines, seed, params)
-    controller = MemoryController(scheme, config)
-
-    traffic: Any = mixer.chunks() if fast else mixer.entries()
-    driver = run_trace_fast if fast else run_trace
-    result = driver(controller, traffic, max_writes=max_writes)
-    gini = WearStats.from_wear(controller.array.wear).gini
-    return {
-        "scheme": scheme_name,
-        "traffic": spec.name,
-        "tenants": mixer.n_tenants,
-        "churn_interval": spec.churn_interval,
-        "engine": "batched" if fast else "scalar",
-        "user_writes": result.user_writes,
-        "total_writes": result.total_writes,
-        "elapsed_ns": result.elapsed_ns,
-        "write_amplification": result.write_amplification,
-        "failed": result.failed,
-        "failed_pa": result.failed_pa,
-        "lifetime_seconds": result.lifetime_seconds,
-        "wear_gini": gini,
-    }
-
-
 # --------------------------------------------------------------- faults
 
 
@@ -586,5 +519,4 @@ register_task_kind("lifetime", run_lifetime_task)
 register_task_kind("simulate", run_simulate_task)
 register_task_kind("trace-lifetime", run_trace_lifetime_task)
 register_task_kind("lifetime-ff", run_lifetime_ff_task)
-register_task_kind("tenant-lifetime", run_tenant_lifetime_task)
 register_task_kind("faults", run_faults_task)

@@ -8,8 +8,6 @@ Installed as ``python -m repro``.  Subcommands:
   or a loaded real trace (``--trace-file``, CSV or ``.rbt``) — on the
   batched fast engine (``--no-fast`` for the scalar reference); the
   ``convert`` / ``info`` subcommands manage trace files,
-* ``traffic``   — measured lifetime under multi-tenant mixed traffic
-  (``--tenants``/``--churn-*`` inline knobs or a ``--profile`` spec),
 * ``overhead``  — the §V-C3 hardware-cost table,
 * ``stages``    — security sizing of the dynamic Feistel network,
 * ``perf``      — the §V-C4 IPC-impact table,
@@ -32,8 +30,6 @@ Examples::
         --lines 4096
     python -m repro trace info out.rbt
     python -m repro trace --scheme security-rbsg --trace-file out.rbt
-    python -m repro traffic --scheme security-rbsg --tenants 1000 \
-        --churn-interval 50000 --json
     python -m repro overhead --stages 7 --json
     python -m repro stages --outer-interval 128
     python -m repro perf --interval 64 --ops 10000
@@ -96,42 +92,45 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
     if attack is None:
         print("--attack is required without --paper-scale", file=sys.stderr)
         return 2
-    if scheme == "none" and attack == "raa":
-        ns = raa_nowl_lifetime_ns(pcm)
-    elif scheme == "rbsg":
-        rbsg_cfg = RBSGConfig(args.regions, args.interval)
-        ns = (rta_rbsg_lifetime_ns if attack == "rta" else raa_rbsg_lifetime_ns)(
-            pcm, rbsg_cfg
-        )
-    elif scheme == "two-level-sr":
-        sr_cfg = SRConfig(args.subregions, args.inner, args.outer)
-        fn = (
-            rta_two_level_sr_lifetime_ns
-            if attack == "rta"
-            else raa_two_level_sr_lifetime_ns
-        )
-        ns = fn(pcm, sr_cfg)
-    elif scheme == "security-rbsg":
-        if attack == "rta":
-            if args.json:
-                print(json.dumps({
-                    "scheme": scheme,
-                    "attack": attack,
-                    "lifetime_ns": None,
-                    "resists_rta": True,
-                }, sort_keys=True))
-            else:
-                print(
-                    "Security RBSG resists RTA by design: with a secure "
-                    "stage count the DFN keys rotate before detection "
-                    "completes (see `python -m repro stages`)."
-                )
-            return 0
-        srbsg_cfg = SecurityRBSGConfig(args.subregions, args.inner,
-                                       args.outer, args.stages)
-        ns = raa_security_rbsg_lifetime_ns(pcm, srbsg_cfg)
-    else:
-        print(f"unsupported pair: {scheme} / {attack}", file=sys.stderr)
+    if scheme == "security-rbsg" and attack == "rta":
+        if args.json:
+            print(json.dumps({
+                "scheme": scheme,
+                "attack": attack,
+                "lifetime_ns": None,
+                "resists_rta": True,
+            }, sort_keys=True))
+        else:
+            print(
+                "Security RBSG resists RTA by design: with a secure "
+                "stage count the DFN keys rotate before detection "
+                "completes (see `python -m repro stages`)."
+            )
+        return 0
+    try:
+        if scheme == "none" and attack == "raa":
+            ns = raa_nowl_lifetime_ns(pcm)
+        elif scheme == "rbsg":
+            rbsg_cfg = RBSGConfig(args.regions, args.interval)
+            ns = (rta_rbsg_lifetime_ns if attack == "rta"
+                  else raa_rbsg_lifetime_ns)(pcm, rbsg_cfg)
+        elif scheme == "two-level-sr":
+            sr_cfg = SRConfig(args.subregions, args.inner, args.outer)
+            fn = (
+                rta_two_level_sr_lifetime_ns
+                if attack == "rta"
+                else raa_two_level_sr_lifetime_ns
+            )
+            ns = fn(pcm, sr_cfg)
+        elif scheme == "security-rbsg":
+            srbsg_cfg = SecurityRBSGConfig(args.subregions, args.inner,
+                                           args.outer, args.stages)
+            ns = raa_security_rbsg_lifetime_ns(pcm, srbsg_cfg)
+        else:
+            print(f"unsupported pair: {scheme} / {attack}", file=sys.stderr)
+            return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     ideal = ideal_lifetime_ns(pcm)
     if args.json:
@@ -234,27 +233,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_trace_result(args: argparse.Namespace, result: dict,
-                        label: str) -> None:
-    """Shared text report of a measured-lifetime run (trace/traffic)."""
-    print(f"scheme / {label:<6}: {args.scheme} / "
-          f"{result.get('trace', result.get('traffic'))} "
-          f"({result['engine']} engine)")
-    print(f"device          : {args.lines} lines, E={args.endurance:g}")
-    elapsed_ns = float(result["elapsed_ns"])  # type: ignore[arg-type]
-    if result["failed"]:
-        print(f"FAILED line {result['failed_pa']} after "
-              f"{result['user_writes']} user writes = "
-              f"{_fmt_duration(elapsed_ns)}")
-    else:
-        print(f"survived {result['user_writes']} user writes "
-              f"({_fmt_duration(elapsed_ns)})")
-    amplification = float(result["write_amplification"])  # type: ignore[arg-type]
-    gini = float(result["wear_gini"])  # type: ignore[arg-type]
-    print(f"write overhead  : {amplification:.4f}x physical/user writes")
-    print(f"wear gini       : {gini:.4f}")
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.campaign.tasks import TaskError, run_trace_lifetime_task
     from repro.traffic import TraceFileError
@@ -296,12 +274,26 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(result, sort_keys=True))
         return 0
-    _print_trace_result(args, result, "trace")
+    print(f"scheme / trace : {args.scheme} / {result['trace']} "
+          f"({result['engine']} engine)")
+    print(f"device          : {args.lines} lines, E={args.endurance:g}")
+    elapsed_ns = float(result["elapsed_ns"])  # type: ignore[arg-type]
+    if result["failed"]:
+        print(f"FAILED line {result['failed_pa']} after "
+              f"{result['user_writes']} user writes = "
+              f"{_fmt_duration(elapsed_ns)}")
+    else:
+        print(f"survived {result['user_writes']} user writes "
+              f"({_fmt_duration(elapsed_ns)})")
+    amplification = float(result["write_amplification"])  # type: ignore[arg-type]
+    gini = float(result["wear_gini"])  # type: ignore[arg-type]
+    print(f"write overhead  : {amplification:.4f}x physical/user writes")
+    print(f"wear gini       : {gini:.4f}")
     return 0
 
 
 def cmd_trace_convert(args: argparse.Namespace) -> int:
-    from repro.traffic import TraceFileError, convert_to_rbt
+    from repro.traffic import convert_to_rbt
 
     try:
         n = convert_to_rbt(
@@ -311,7 +303,7 @@ def cmd_trace_convert(args: argparse.Namespace) -> int:
             window_start=args.window_start,
             window_mode=args.window_mode,
         )
-    except TraceFileError as exc:
+    except ValueError as exc:  # a TraceFileError or a refused window
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {n} line writes to {args.rbt}")
@@ -319,12 +311,7 @@ def cmd_trace_convert(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_info(args: argparse.Namespace) -> int:
-    from repro.traffic import (
-        TraceFileError,
-        csv_info,
-        rbt_metadata,
-        trace_format,
-    )
+    from repro.traffic import csv_info, rbt_metadata, trace_format
 
     try:
         if trace_format(args.path) == "rbt":
@@ -345,7 +332,7 @@ def cmd_trace_info(args: argparse.Namespace) -> int:
                 "n_write_lines": n_lines,
                 "max_raw_la": max_la,
             }
-    except TraceFileError as exc:
+    except ValueError as exc:  # a TraceFileError or a refused line size
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -367,50 +354,15 @@ def cmd_trace_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_traffic(args: argparse.Namespace) -> int:
-    from repro.campaign.tasks import TaskError, run_tenant_lifetime_task
-    from repro.traffic import TrafficSpecError
-
-    params = {
-        "scheme": args.scheme,
-        "lines": args.lines,
-        "endurance": args.endurance,
-        "max_writes": args.budget,
-        "interval": args.interval,
-        "regions": args.regions,
-        "stages": args.stages,
-        "fast": not args.no_fast,
-    }
-    if args.outer is not None:
-        params["outer"] = args.outer
-    if args.profile is not None:
-        params["profile"] = args.profile
-    else:
-        params["tenants"] = args.tenants
-        params["alpha"] = args.alpha
-        params["churn_interval"] = args.churn_interval
-        params["churn_fraction"] = args.churn_fraction
-        params["churn_boost"] = args.churn_boost
-        params["schedule_interval"] = args.schedule_interval
+def cmd_overhead(args: argparse.Namespace) -> int:
     try:
-        result = run_tenant_lifetime_task(params, args.seed)
-    except (TaskError, TrafficSpecError) as exc:
+        cfg = SecurityRBSGConfig(
+            args.subregions, args.inner, args.outer, args.stages
+        )
+        overhead = security_rbsg_overhead(PAPER_PCM, cfg)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(result, sort_keys=True))
-        return 0
-    print(f"tenants         : {result['tenants']} "
-          f"(churn interval {result['churn_interval']})")
-    _print_trace_result(args, result, "traffic")
-    return 0
-
-
-def cmd_overhead(args: argparse.Namespace) -> int:
-    cfg = SecurityRBSGConfig(
-        args.subregions, args.inner, args.outer, args.stages
-    )
-    overhead = security_rbsg_overhead(PAPER_PCM, cfg)
     if args.json:
         print(json.dumps({
             "n_subregions": args.subregions,
@@ -438,7 +390,11 @@ def cmd_overhead(args: argparse.Namespace) -> int:
 
 
 def cmd_stages(args: argparse.Namespace) -> int:
-    minimum = min_secure_stages(PAPER_PCM, args.outer_interval)
+    try:
+        minimum = min_secure_stages(PAPER_PCM, args.outer_interval)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"outer remapping interval {args.outer_interval}, "
           f"{PAPER_PCM.address_bits} key bits per stage:")
     print(f"  minimum secure stage count: {minimum}")
@@ -795,48 +751,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true",
                     help="emit a single JSON object instead of text")
     sp.set_defaults(func=cmd_trace_info)
-
-    p = sub.add_parser(
-        "traffic",
-        help="measured lifetime under multi-tenant mixed traffic "
-             "(batched engine)",
-    )
-    p.add_argument("--scheme", required=True,
-                   choices=["none", "start-gap", "table", "random-swap",
-                            "rbsg", "sr", "multiway-sr", "two-level-sr",
-                            "security-rbsg"])
-    p.add_argument("--profile", metavar="SPEC",
-                   help="traffic spec file (.toml or .json); overrides the "
-                        "inline --tenants/--alpha/--churn-* population")
-    p.add_argument("--tenants", type=int, default=1000,
-                   help="inline population size (60%% zipf / 30%% uniform "
-                        "/ 10%% sequential)")
-    p.add_argument("--alpha", type=float, default=1.2,
-                   help="zipf skew of the inline population")
-    p.add_argument("--churn-interval", type=int, default=0,
-                   help="writes between hot-tenant redraws (0 = no churn)")
-    p.add_argument("--churn-fraction", type=float, default=0.02,
-                   help="fraction of tenants boosted per churn epoch")
-    p.add_argument("--churn-boost", type=float, default=8.0,
-                   help="arrival-rate multiplier for hot tenants")
-    p.add_argument("--schedule-interval", type=int, default=8192,
-                   help="writes between arrival-rate re-evaluations")
-    p.add_argument("--lines", type=int, default=4096)
-    p.add_argument("--endurance", type=float, default=1e4)
-    p.add_argument("--budget", type=int, default=10_000_000,
-                   help="stop after this many user writes")
-    p.add_argument("--interval", type=int, default=16)
-    p.add_argument("--regions", type=int, default=8)
-    p.add_argument("--outer", type=int, default=None,
-                   help="outer remap interval (default: 2x --interval)")
-    p.add_argument("--stages", type=int, default=7)
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--no-fast", action="store_true",
-                   help="use the scalar reference engine instead of the "
-                        "batched fast path (results are bit-identical)")
-    p.add_argument("--json", action="store_true",
-                   help="emit a single JSON object instead of text")
-    p.set_defaults(func=cmd_traffic)
 
     p = sub.add_parser("overhead", help="hardware overhead table (§V-C3)")
     p.add_argument("--subregions", type=int, default=512)

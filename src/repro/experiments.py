@@ -30,6 +30,7 @@ from repro.attacks import (
     SRTimingAttack,
 )
 from repro.campaign.tasks import build_scheme
+from repro.config import PCMConfig
 
 #: Short names of the schemes, in ``attack_matrix``'s default order.
 SCHEME_NAMES = (
@@ -123,6 +124,12 @@ def attack_matrix(
     unknown_attacks = set(attacks) - known_attacks
     if unknown_attacks:
         raise ValueError(f"unknown attacks: {sorted(unknown_attacks)}")
+    # Check the device and budget every cell shares up front: a value
+    # PCMConfig or the simulate task refuses raises here, before any
+    # cell runs.
+    PCMConfig(n_lines=n_lines, endurance=endurance)
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     keys: List[TaskKey] = []
     for scheme_name in scheme_names:
         for attack_name in attacks:

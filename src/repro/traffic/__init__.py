@@ -1,23 +1,20 @@
-"""``repro.traffic`` — real-trace ingestion and multi-tenant synthesis.
+"""``repro.traffic`` — real-trace ingestion.
 
-The workload layer above the simulator: streaming loaders for real
-block-trace formats (MSR-Cambridge/SNIA CSV, the compact ``.rbt``
-binary chunk format) and a :class:`TenantMixer` that multiplexes
-thousands of independent tenants through one deterministic interleaver.
-Both halves emit the dual-granularity streams
-:func:`repro.sim.engine.run_trace_fast` and :func:`~repro.sim.engine.
-run_trace` consume interchangeably — chunked and scalar forms of one
-identical write stream.
+The input side of the simulator for recorded workloads: a streaming
+loader for MSR-Cambridge/SNIA block-trace CSV (optionally gzipped) and
+the compact ``.rbt`` binary chunk format it converts to.  Both emit the
+dual-granularity streams :func:`repro.sim.engine.run_trace_fast` and
+:func:`~repro.sim.engine.run_trace` consume interchangeably — chunked
+and scalar forms of one identical write stream.
 
-See ``docs/workloads.md`` for formats, the tenant-profile spec schema
-and windowing semantics.
+See ``docs/workloads.md`` for the formats, windowing semantics and the
+error taxonomy.
 """
 
 from repro.traffic.adapter import (
     convert_to_rbt,
     open_trace_chunks,
     open_trace_entries,
-    run_traffic,
     trace_format,
 )
 from repro.traffic.csvtrace import (
@@ -35,13 +32,6 @@ from repro.traffic.errors import (
     TraceFileTruncatedError,
     TraceFileVersionError,
 )
-from repro.traffic.profiles import (
-    TenantGroup,
-    TrafficSpec,
-    TrafficSpecError,
-    load_traffic_spec,
-    mixed_spec,
-)
 from repro.traffic.rbt import (
     read_rbt_chunks,
     read_rbt_entries,
@@ -49,35 +39,26 @@ from repro.traffic.rbt import (
     rbt_n_entries,
     write_rbt,
 )
-from repro.traffic.tenants import TenantMixer, TenantProfile
 
 __all__ = [
     "AddressWindow",
     "CSVRecord",
-    "TenantGroup",
-    "TenantMixer",
-    "TenantProfile",
     "TraceFileCorruptError",
     "TraceFileError",
     "TraceFileMissingError",
     "TraceFileTruncatedError",
     "TraceFileVersionError",
-    "TrafficSpec",
-    "TrafficSpecError",
     "convert_to_rbt",
     "csv_info",
     "csv_trace_chunks",
     "csv_trace_entries",
     "iter_csv_records",
-    "load_traffic_spec",
-    "mixed_spec",
     "open_trace_chunks",
     "open_trace_entries",
     "rbt_metadata",
     "rbt_n_entries",
     "read_rbt_chunks",
     "read_rbt_entries",
-    "run_traffic",
     "trace_format",
     "write_rbt",
 ]

@@ -294,6 +294,8 @@ def csv_info(
     ``n_write_lines`` counts line-granular writes before windowing (what
     a convert will emit); ``max_raw_la`` bounds the traced footprint.
     """
+    if line_bytes < 1:
+        raise ValueError("line_bytes must be >= 1")
     n_records = n_writes = n_lines_touched = 0
     max_la = -1
     for record in iter_csv_records(path):

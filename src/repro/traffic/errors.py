@@ -1,9 +1,8 @@
 """The trace-file error taxonomy shared by every loader in the repo.
 
-One base class, four defects.  Every loader — the ``.npz`` persistence in
-:mod:`repro.sim.tracefile`, the MSR/SNIA CSV reader in
-:mod:`repro.traffic.csvtrace`, the ``.rbt`` binary chunk reader in
-:mod:`repro.traffic.rbt` — raises the *same* subclasses, so callers
+One base class, four defects.  Both loaders — the MSR/SNIA CSV reader
+in :mod:`repro.traffic.csvtrace` and the ``.rbt`` binary chunk reader in
+:mod:`repro.traffic.rbt` — raise the *same* subclasses, so callers
 (CLI, campaign tasks, smoke scripts) can branch on the defect without
 knowing which format they were handed:
 

@@ -1,17 +1,14 @@
-"""Tests for the shipped campaign task kinds (trace/tenant lifetime)."""
+"""Tests for the shipped campaign task kinds."""
 
 from pathlib import Path
 
 import pytest
 
 from repro.campaign import tasks
-from repro.campaign.aggregate import aggregate, to_json
-from repro.campaign.runner import RunnerConfig, run_collect
-from repro.campaign.spec import CampaignSpec, load_spec
+from repro.campaign.spec import load_spec
 from repro.campaign.tasks import (
     TaskError,
     get_task,
-    run_tenant_lifetime_task,
     run_trace_lifetime_task,
     task_kinds,
 )
@@ -93,11 +90,6 @@ KIND_PARAMS = {
         {"scheme": "none", "trace": "uniform", "lines": 64, "endurance": 50,
          "max_writes": 100},
         "endurnace",
-    ),
-    "tenant-lifetime": (
-        {"scheme": "none", "tenants": 4, "lines": 64, "endurance": 50,
-         "max_writes": 100},
-        "tenant",
     ),
     "faults": (
         {"scheme": "none", "n_lines": 64, "endurance": 50, "n_writes": 100},
@@ -233,66 +225,27 @@ class TestTraceFileParameter:
                 {"scheme": "none", "trace_file": "/nope.rbt"}, seed=0
             )
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"line_bytes": 0}, "line_bytes must be >= 1"),
+        ({"window_mode": "fold"}, "unknown window mode 'fold'"),
+    ], ids=["line-bytes", "window-mode"])
+    def test_refused_window_is_a_task_error(self, extra, message):
+        with pytest.raises(TaskError, match=message):
+            run_trace_lifetime_task(
+                {"scheme": "none", "trace_file": str(DATA / "msr_sample.csv"),
+                 "lines": 64, **extra},
+                seed=0,
+            )
 
-class TestTenantLifetimeTask:
-    def test_registered(self):
-        assert "tenant-lifetime" in task_kinds()
-        assert get_task("tenant-lifetime") is run_tenant_lifetime_task
 
-    def test_engines_bit_identical(self):
-        params = {
-            "scheme": "security-rbsg",
-            "tenants": 30,
-            "lines": 256,
-            "endurance": 200,
-            "max_writes": 60_000,
-            "churn_interval": 5000,
-        }
-        fast = run_tenant_lifetime_task({**params, "fast": True}, seed=4)
-        scalar = run_tenant_lifetime_task({**params, "fast": False}, seed=4)
-        assert fast["engine"] == "batched"
-        assert scalar["engine"] == "scalar"
-        fast.pop("engine")
-        scalar.pop("engine")
-        assert fast == scalar
-        assert fast["tenants"] == 30
-        assert fast["traffic"] == "mixed"
-
-    def test_profile_file_builds_the_population(self, tmp_path):
-        spec = tmp_path / "pop.toml"
-        spec.write_text(
-            "[traffic]\nname = \"custom\"\n\n"
-            "[[group]]\ncount = 4\nkind = \"uniform\"\nwindow_lines = 16\n"
+def test_simulate_refuses_a_negative_budget():
+    """A negative attack budget is a :class:`TaskError`, not a run that
+    "survives" zero writes."""
+    with pytest.raises(TaskError) as info:
+        get_task("simulate")(
+            {"scheme": "rbsg", "attack": "raa", "lines": 64, "budget": -1}, 1
         )
-        result = run_tenant_lifetime_task(
-            {"scheme": "none", "profile": str(spec), "lines": 64,
-             "endurance": 1e6, "max_writes": 2000},
-            seed=0,
-        )
-        assert result["tenants"] == 4
-        assert result["traffic"] == "custom"
-
-    def test_seed_changes_the_population(self):
-        params = {"scheme": "none", "tenants": 10, "lines": 128,
-                  "endurance": 1e6, "max_writes": 5000}
-        a = run_tenant_lifetime_task(params, seed=0)
-        b = run_tenant_lifetime_task(params, seed=1)
-        assert a["wear_gini"] != b["wear_gini"]
-
-    def test_serial_and_parallel_campaigns_byte_identical(self):
-        spec = CampaignSpec.create(
-            "tenant-det", "tenant-lifetime", n_seeds=2,
-            base={"lines": 128, "endurance": 300.0, "max_writes": 20_000,
-                  "churn_interval": 4000},
-            grid={"scheme": ["rbsg", "security-rbsg"],
-                  "tenants": [8, 32]},
-        )
-        keys = spec.expand()
-        serial = run_collect(keys, RunnerConfig(workers=1, retries=0))
-        parallel = run_collect(keys, RunnerConfig(workers=2, retries=0))
-        assert all(r.ok for r in serial)
-        assert serial == parallel  # same records, bit for bit
-        assert to_json(aggregate(serial)) == to_json(aggregate(parallel))
+    assert str(info.value) == "budget must be >= 0, got -1"
 
 
 @pytest.mark.parametrize("seed", [0, 3])

@@ -193,8 +193,10 @@ class TestTrace:
 
 
 class TestRefusedDeviceValues:
-    """A value the device config or the scheme refuses is one ``error:``
-    line and exit 2, not a traceback."""
+    """A value the device config, the scheme or the trace window refuses
+    is one ``error:`` line and exit 2, not a traceback."""
+
+    CSV = str(DATA / "msr_sample.csv")
 
     @pytest.mark.parametrize("argv, message", [
         (["trace", "--scheme", "rbsg", "--trace", "uniform", "--lines", "64",
@@ -203,22 +205,49 @@ class TestRefusedDeviceValues:
           "--lines", "64", "--interval", "0"], "remap_interval must be >= 1"),
         (["simulate", "--scheme", "rbsg", "--attack", "raa", "--lines", "0"],
          "n_lines must be a power of two, got 0"),
-    ], ids=["endurance", "interval", "lines"])
+        (["simulate", "--scheme", "rbsg", "--attack", "raa", "--budget", "-1"],
+         "budget must be >= 0, got -1"),
+        (["stages", "--outer-interval", "0"], "outer_interval must be >= 1"),
+        (["overhead", "--stages", "0"], "n_stages must be >= 1"),
+        (["overhead", "--subregions", "0"], "n_subregions must be >= 1"),
+        (["lifetime", "--scheme", "rbsg", "--attack", "raa", "--regions", "0"],
+         "n_regions must be >= 1"),
+        (["trace", "convert", CSV, "/nonexistent/unused.rbt", "--lines", "0"],
+         "window needs n_lines >= 1"),
+        (["trace", "--scheme", "none", "--trace-file", CSV,
+          "--line-bytes", "0"], "line_bytes must be >= 1"),
+        (["trace", "info", CSV, "--line-bytes", "0"],
+         "line_bytes must be >= 1"),
+    ], ids=["endurance", "interval", "lines", "simulate-budget",
+            "outer-interval", "overhead-stages", "overhead-subregions",
+            "lifetime-regions", "convert-lines", "trace-file-line-bytes",
+            "info-line-bytes"])
     def test_error_line_and_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    def test_fault_rate_refused_before_any_task_runs(self, capsys,
-                                                      monkeypatch):
+    @pytest.fixture
+    def no_run(self, monkeypatch):
         import repro.campaign
 
         def no_run(*args, **kwargs):
             raise AssertionError("the grid ran")
 
         monkeypatch.setattr(repro.campaign, "run_collect", no_run)
+
+    def test_fault_rate_refused_before_any_task_runs(self, capsys, no_run):
         assert main(["faults", "--rates", "2.0", "--lines", "64"]) == 2
         assert capsys.readouterr().err == (
             "error: verify_fail_base must be in [0, 1)\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--lines", "0"], "n_lines must be a power of two, got 0"),
+        (["--budget", "-1"], "budget must be >= 0, got -1"),
+    ], ids=["lines", "budget"])
+    def test_matrix_refused_before_any_task_runs(self, capsys, no_run, argv,
+                                                 message):
+        assert main(["matrix", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestTraceConvertInfo:
@@ -257,57 +286,6 @@ class TestTraceConvertInfo:
         bad.write_bytes(b"RBT\x09")
         assert main(["trace", "info", str(bad)]) == 2
         assert "version" in capsys.readouterr().err
-
-
-class TestTraffic:
-    ARGV = [
-        "traffic", "--scheme", "security-rbsg", "--tenants", "25",
-        "--lines", "256", "--endurance", "200", "--budget", "50000",
-        "--churn-interval", "10000", "--json",
-    ]
-
-    def test_inline_population_run(self, capsys):
-        assert main(self.ARGV) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["tenants"] == 25
-        assert payload["traffic"] == "mixed"
-        assert payload["engine"] == "batched"
-
-    def test_no_fast_is_bit_identical(self, capsys):
-        assert main(self.ARGV) == 0
-        fast = json.loads(capsys.readouterr().out)
-        assert main(self.ARGV + ["--no-fast"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        fast.pop("engine")
-        scalar.pop("engine")
-        assert fast == scalar
-
-    def test_profile_file(self, tmp_path, capsys):
-        spec = tmp_path / "pop.toml"
-        spec.write_text(
-            "[traffic]\nname = \"cli\"\n\n"
-            "[[group]]\ncount = 3\nkind = \"uniform\"\nwindow_lines = 8\n"
-        )
-        assert main([
-            "traffic", "--scheme", "none", "--profile", str(spec),
-            "--lines", "64", "--endurance", "1e6", "--budget", "2000",
-            "--json",
-        ]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["traffic"] == "cli"
-        assert payload["tenants"] == 3
-
-    def test_bad_profile_exits_2(self, capsys):
-        assert main([
-            "traffic", "--scheme", "none", "--profile", "/nope.toml",
-        ]) == 2
-        assert "no such traffic spec" in capsys.readouterr().err
-
-    def test_text_report(self, capsys):
-        assert main([a for a in self.ARGV if a != "--json"]) == 0
-        out = capsys.readouterr().out
-        assert "tenants" in out
-        assert "wear gini" in out
 
 
 class TestOtherCommands:

@@ -16,7 +16,6 @@ from repro.core.security_rbsg import SecurityRBSG
 from repro.defense.delayed_write import DelayedWriteController
 from repro.pcm.timing import ALL0, ALL1, MIXED
 from repro.sim.memory_system import MemoryController
-from repro.sim.multibank import MultiBankSystem
 from repro.wearlevel import (
     RegionBasedStartGap,
     SecurityRefresh,
@@ -107,29 +106,6 @@ def test_delayed_write_wrapper_preserves_data(seed, buffer_lines, ops):
     controller.flush()
     for la, data in shadow.items():
         got, _ = controller.read(la)
-        assert got == data
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    interleave=st.sampled_from(["low", "high"]),
-    seed=st.integers(0, 10_000),
-    ops=st.lists(st.tuples(st.integers(0, 127), DATA), min_size=1,
-                 max_size=200),
-)
-def test_multibank_preserves_data(interleave, seed, ops):
-    system = MultiBankSystem(
-        4,
-        PCMConfig(n_lines=32, endurance=1e12),
-        lambda index: SecurityRefresh(32, 3, rng=seed + index),
-        interleave=interleave,
-    )
-    shadow = {}
-    for la, data in ops:
-        system.write(la, data)
-        shadow[la] = data
-    for la, data in shadow.items():
-        got, _ = system.read(la)
         assert got == data
 
 

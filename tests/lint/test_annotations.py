@@ -41,9 +41,7 @@ STRICT_MODULES = [
     "repro/traffic/adapter.py",
     "repro/traffic/csvtrace.py",
     "repro/traffic/errors.py",
-    "repro/traffic/profiles.py",
     "repro/traffic/rbt.py",
-    "repro/traffic/tenants.py",
 ]
 
 

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from repro.config import PCMConfig
+from repro.sim.engine import run_trace_fast
 from repro.sim.memory_system import MemoryController
 from repro.traffic import (
-    TenantMixer,
-    TenantProfile,
     TraceFileMissingError,
     convert_to_rbt,
     csv_trace_chunks,
@@ -18,7 +17,6 @@ from repro.traffic import (
     open_trace_entries,
     read_rbt_chunks,
     rbt_metadata,
-    run_traffic,
     trace_format,
 )
 from repro.traffic.csvtrace import AddressWindow
@@ -96,31 +94,14 @@ class TestConvert:
         np.testing.assert_array_equal(from_rbt[0], from_csv[0])
 
 
-class TestRunTraffic:
-    def controller(self, n_lines=256):
-        return MemoryController(
-            StartGap(n_lines, remap_interval=16),
-            PCMConfig(n_lines=n_lines, endurance=500),
-        )
-
-    def test_fast_and_scalar_bit_identical_on_a_mixer(self):
-        mixer = TenantMixer(
-            [TenantProfile(kind="uniform", window_start=0, window_len=256)],
-            seed=3,
-        )
-        fast = run_traffic(
-            self.controller(), mixer.chunks(), max_writes=20_000
-        )
-        scalar = run_traffic(
-            self.controller(), mixer.entries(), max_writes=20_000,
-            fast=False,
-        )
-        assert fast == scalar
-
+class TestReplay:
     def test_loaded_trace_drives_the_engine(self):
-        result = run_traffic(
-            self.controller(4096),
-            open_trace_chunks(RBT_FIXTURE, n_lines=4096),
+        controller = MemoryController(
+            StartGap(4096, remap_interval=16),
+            PCMConfig(n_lines=4096, endurance=500),
+        )
+        result = run_trace_fast(
+            controller, open_trace_chunks(RBT_FIXTURE, n_lines=4096)
         )
         assert result.user_writes == 5354
         assert result.elapsed_ns > 0
